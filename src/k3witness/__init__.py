@@ -34,7 +34,7 @@ from .families import (
     verify_witness,
     witness_chain,
 )
-from .hilbert import HilbertClass, bb_pair_with_H, bb_square, hilbert_class, verify_bb_corollary
+from .hilbert import HilbertClass, bb_pair_with_H, bb_square, hilbert_class
 from .lattice import (
     Divisor,
     LatticeConfig,
@@ -55,7 +55,6 @@ from .mukai import (
     type_vector,
 )
 from .pell import (
-    ConstrainedSolutions,
     FundamentalUnit,
     LinearCongruence,
     PellProblem,
@@ -66,7 +65,6 @@ from .pell import (
     orbit_step,
     push_negative,
     solve_bounded,
-    solve_constrained,
 )
 
 __version__ = "0.1.0"

@@ -39,10 +39,11 @@ from .families import (
     enumerate_family,
     member,
     membership,
+    preferred_witness,
     witness_chain,
 )
 from .hilbert import bb_pair_with_H, bb_square, hilbert_class
-from .lattice import divisor, dot_H, inner, make_lattice
+from .lattice import divisor, dot_H, make_lattice
 from .pell import fundamental_unit, solve_bounded
 from . import selfcheck
 
@@ -109,11 +110,11 @@ def witness_dict(w: Witness, query: FamilyQuery) -> dict:
         "y": w.y,
         "D": {"x": w.D.x, "y": w.D.y},
         "F": {"x": w.F.x, "y": w.F.y},
-        "F2": inner(w.F, w.F),
+        "F2": rep["f_square"].actual,
         "FdotH": dot_H(w.F),
-        "DdotH": dot_H(w.D),
+        "DdotH": rep["dh_threshold"].actual,
         "pell_residual": rep["pell_residual"].actual,
-        "bb": {"eps": h1.eps, "q": bb_square(h1), "b": bb_pair_with_H(h1)},
+        "bb": {"eps": h1.eps, "q": rep["bb_square"].actual, "b": bb_pair_with_H(h1)},
         "checks": rep.flags(),
         "seed": {"x": w.seed[0], "y": w.seed[1]},
         "x_threshold": w.x_threshold,
@@ -257,12 +258,10 @@ def cmd_member(args) -> int:
     except (NoValidMu, DegenerateQuery) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    chosen = None
     for oc in outcomes:
         state = "member" if oc.found else f"empty (period {oc.residue_period} scanned)"
         print(f"mu={oc.mu}: {state}", file=sys.stderr)
-        if oc.witness and (chosen is None or (oc.witness.threshold_reachable and not chosen.threshold_reachable)):
-            chosen = oc.witness
+    chosen = preferred_witness(outcomes)
     if chosen is None:
         print(f"d={args.d} is not a member for any admissible mu", file=sys.stderr)
         return EXIT_REJECTED
@@ -399,7 +398,13 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
 
 
 def _add_knob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--search-depth", dest="search_depth", type=int, default=None)
+    p.add_argument(
+        "--search-depth",
+        dest="search_depth",
+        type=int,
+        default=None,
+        help="bound on the block steps of the orbit walk (default 64)",
+    )
     p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default=None)
     p.add_argument("--out", dest="out", default=None)

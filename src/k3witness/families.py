@@ -214,9 +214,7 @@ def _verify_fields(
 
     f_dot_h = dot_H(F)
     f_res = (f_dot_h - rr * cfg.mu * y) % h2
-    checks.append(
-        CheckOutcome("f_dot_h", f_res == 0, 0, f_res, note=f"F.H={f_dot_h}")
-    )
+    checks.append(CheckOutcome("f_dot_h", f_res == 0, 0, f_res))
 
     d_dot_h = dot_H(D)
     note = "" if threshold_reachable else "threshold certified unreachable"
@@ -245,9 +243,7 @@ def _verify_fields(
     checks.append(CheckOutcome("bb_square", q_val == sign * 2 * rr, sign * 2 * rr, q_val))
     b_val = bb_pair_with_H(h1)
     b_res = (b_val - rr * cfg.mu * y) % h2
-    checks.append(
-        CheckOutcome("bb_pairing", b_res == 0, 0, b_res, note=f"b(h1,H)={b_val}")
-    )
+    checks.append(CheckOutcome("bb_pairing", b_res == 0, 0, b_res))
     return VerificationReport(tuple(checks))
 
 
@@ -393,15 +389,18 @@ def member(
     Prefers a witness whose D.H reached the negativity threshold; falls back
     to a threshold-flagged witness when every constrained orbit is bounded.
     """
-    outcomes = membership(query, d, x_threshold=x_threshold, search_depth=search_depth)
-    flagged = None
-    for oc in outcomes:
-        if oc.witness is not None:
-            if oc.witness.threshold_reachable:
-                return oc.witness
-            if flagged is None:
-                flagged = oc.witness
-    return flagged
+    return preferred_witness(
+        membership(query, d, x_threshold=x_threshold, search_depth=search_depth)
+    )
+
+
+def preferred_witness(outcomes: list[MuOutcome]) -> Optional[Witness]:
+    """The first witness that reached the threshold, else the first flagged one."""
+    witnesses = [oc.witness for oc in outcomes if oc.witness is not None]
+    for w in witnesses:
+        if w.threshold_reachable:
+            return w
+    return witnesses[0] if witnesses else None
 
 
 def enumerate_family(

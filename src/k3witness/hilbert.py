@@ -46,19 +46,3 @@ def bb_square(h: HilbertClass) -> int:
 def bb_pair_with_H(h: HilbertClass) -> int:
     """b(F + eps*f, H) = F.H; f is orthogonal to the surface lattice."""
     return dot_H(h.f_part)
-
-
-def verify_bb_corollary(witness, query) -> bool:
-    """True iff q(h1) = sign*2*rank and b(h1, H) has the right residue.
-
-    ``witness`` needs attributes F, sign, mu, y; ``query`` provides g and the
-    twisting rank (s in the swapped family, r otherwise) via twist_rank and
-    the length n = g - r*s.  The class h1 = F + eps*f uses the n = 1 rule.
-    """
-    n = query.g - query.r * query.s
-    h1 = hilbert_class(witness.F, n)
-    rank = query.twist_rank
-    h2 = 2 * query.g - 2
-    q_ok = bb_square(h1) == witness.sign * 2 * rank
-    b_ok = (bb_pair_with_H(h1) - rank * witness.mu * witness.y) % h2 == 0
-    return q_ok and b_ok

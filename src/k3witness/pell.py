@@ -124,43 +124,42 @@ class PellProblem:
 
 
 @lru_cache(maxsize=None)
-def fundamental_unit(d: int) -> FundamentalUnit:
-    """Minimal positive solution of u^2 - d*w^2 = 1 via the sqrt(d) expansion."""
+def _first_unit(d: int) -> tuple[FundamentalUnit, int]:
+    """First convergent (p, q) of sqrt(d) with p^2 - d*q^2 = +-1, and that norm.
+
+    The norm is -1 exactly when the period of the expansion is odd; the
+    convergent is then the minimal norm-(-1) unit, and its square is the
+    fundamental unit.
+    """
     s = isqrt(d)
     if d < 2 or s * s == d:
         raise SquareInput(f"d={d} must be a non-square >= 2")
     p_prev, p = 1, s
     q_prev, q = 0, 1
     P, Q = s, d - s * s
-    while p * p - d * q * q != 1:
+    while (norm := p * p - d * q * q) not in (1, -1):
         a = (P + s) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         P = a * Q - P
         Q = (d - P * P) // Q
-    return FundamentalUnit(d, p, q)
+    return FundamentalUnit(d, p, q), norm
 
 
 @lru_cache(maxsize=None)
+def fundamental_unit(d: int) -> FundamentalUnit:
+    """Minimal positive solution of u^2 - d*w^2 = 1 via the sqrt(d) expansion."""
+    first, norm = _first_unit(d)
+    if norm == 1:
+        return first
+    t, v = first.u0, first.w0
+    return FundamentalUnit(d, t * t + d * v * v, 2 * t * v)
+
+
 def negative_unit(d: int) -> FundamentalUnit | None:
     """Minimal (t, u) with t^2 - d*u^2 = -1, or None (period even)."""
-    s = isqrt(d)
-    if d < 2 or s * s == d:
-        raise SquareInput(f"d={d} must be a non-square >= 2")
-    p_prev, p = 1, s
-    q_prev, q = 0, 1
-    P, Q = s, d - s * s
-    while True:
-        val = p * p - d * q * q
-        if val == -1:
-            return FundamentalUnit(d, p, q)
-        if val == 1:
-            return None
-        a = (P + s) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        P = a * Q - P
-        Q = (d - P * P) // Q
+    first, norm = _first_unit(d)
+    return first if norm == -1 else None
 
 
 def orbit_step(sol: PellSolution, unit: FundamentalUnit, direction: int = 1) -> PellSolution:
@@ -378,51 +377,6 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
     out = [problem.solution(u, w) for (u, w) in unique]
     out.sort(key=lambda p: (abs(p.w), p.u, p.w))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ConstrainedSolutions:
-    """Result of a constrained search.
-
-    ``empty`` is a decision, not a timeout: it is only True after a full
-    residue period of every class representative produced no hit.
-    """
-
-    solutions: tuple[PellSolution, ...]
-    empty: bool
-    residue_period: int
-    classes_scanned: int
-
-
-def solve_constrained(problem: PellProblem, search_depth: int = 64) -> ConstrainedSolutions:
-    """Constrained solutions within search_depth unit steps of the class reps.
-
-    If the bounded walk finds nothing, a full-period residue scan either
-    certifies emptiness or materializes the first hit of each constrained
-    orbit, so a nonempty constrained set always yields at least one
-    solution.
-    """
-    unit = fundamental_unit(problem.d)
-    seeds = _seeds(problem)
-    T = residue_period(problem)
-    found: set[tuple[int, int]] = set()
-    for seed in seeds:
-        cur = seed
-        for _ in range(search_depth + 1):
-            if problem.meets_constraints(cur.u, cur.w):
-                found.add((cur.u, cur.w))
-            cur = orbit_step(cur, unit, 1)
-        cur = seed
-        for _ in range(search_depth):
-            cur = orbit_step(cur, unit, -1)
-            if problem.meets_constraints(cur.u, cur.w):
-                found.add((cur.u, cur.w))
-    if not found:
-        for hit in constrained_orbit_hits(problem):
-            found.add((hit.u, hit.w))
-    sols = [problem.solution(u, w) for (u, w) in found]
-    sols.sort(key=lambda p: (abs(p.w), p.u, p.w))
-    return ConstrainedSolutions(tuple(sols), not sols, T, len(seeds))
 
 
 def default_x_threshold(h_square: int, rank: int) -> int:

@@ -87,6 +87,12 @@ def test_json_roundtrip_reverifies(tmp_path):
             q, cfg, wd["x"], wd["y"], D, F, wd["x_threshold"], wd["threshold_reachable"]
         )
         assert rep.flags() == wd["checks"]
+        h2 = 2 * q.g - 2
+        f2 = (wd["F"]["x"] ** 2 - wd["d"] * wd["F"]["y"] ** 2) // h2
+        eps = wd["bb"]["eps"]
+        assert (wd["F2"], wd["FdotH"], wd["DdotH"], wd["bb"]["q"], wd["bb"]["b"]) == (
+            f2, wd["F"]["x"], wd["D"]["x"], f2 - 2 * (q.length - 1) * eps * eps, wd["F"]["x"]
+        )
 
 
 def test_member_ok(capsys):

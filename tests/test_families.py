@@ -238,6 +238,13 @@ class TestWitnessChain:
         assert all(a > b for a, b in zip(xs, xs[1:]))
         assert all(w.report.all_passed for w in chain)
 
+    def test_long_chain_past_the_digit_limit(self):
+        # the last witnesses have x of more than 4300 decimal digits
+        chain = witness_chain(q522(1), 17, 1300)
+        assert len(chain) == 1300
+        assert all(w.report.all_passed for w in chain)
+        assert abs(chain[-1].x).bit_length() > 14300
+
     def test_chain_rejects_unreachable(self):
         with pytest.raises(ThresholdUnreachable):
             witness_chain(FamilyQuery(4, 3, 1, 1), 13, 3)

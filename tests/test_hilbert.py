@@ -12,7 +12,7 @@ from k3witness import (
     inner,
     make_lattice,
     member,
-    verify_bb_corollary,
+    verify_witness,
 )
 from k3witness.hilbert import exceptional_coefficient
 
@@ -92,7 +92,9 @@ class TestCorollary:
             for sign in (1, -1):
                 q = FamilyQuery(g, r, s, sign)
                 for w in enumerate_family(q, 150):
-                    assert verify_bb_corollary(w, q)
+                    report = verify_witness(w, q)
+                    assert report["bb_square"].passed
+                    assert report["bb_pairing"].passed
 
     def test_tilde_uses_other_rank(self):
         q = FamilyQuery(7, 3, 2, 1, tilde=True)
@@ -107,4 +109,4 @@ class TestCorollary:
 
         cfg = w.F.config
         bad = dataclasses.replace(w, F=w.F + cfg.H)
-        assert not verify_bb_corollary(bad, q)
+        assert not verify_witness(bad, q)["bb_square"].passed

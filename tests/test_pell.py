@@ -16,7 +16,6 @@ from k3witness import (
     orbit_step,
     push_negative,
     solve_bounded,
-    solve_constrained,
 )
 from k3witness.errors import SquareInput, ThresholdUnreachable
 from k3witness.families import pell_problem
@@ -70,6 +69,24 @@ class TestFundamentalUnit:
         assert negative_unit(3) is None
         nu17 = negative_unit(17)
         assert nu17.u0**2 - 17 * nu17.w0**2 == -1
+
+    def test_negative_unit_iff_odd_period(self):
+        for d in range(2, 2001):
+            a0 = isqrt(d)
+            if a0 * a0 == d:
+                continue
+            P, Q, a, period = 0, 1, a0, 0
+            while a != 2 * a0:
+                P = a * Q - P
+                Q = (d - P * P) // Q
+                a = (a0 + P) // Q
+                period += 1
+            neg = negative_unit(d)
+            assert (neg is not None) == (period % 2 == 1), d
+            if neg is not None:
+                unit = fundamental_unit(d)
+                t, v = neg.u0, neg.w0
+                assert (unit.u0, unit.w0) == (t * t + d * v * v, 2 * t * v), d
 
     def test_minimality_oracle_rejects_powers(self):
         for d in (2, 17, 61):
@@ -132,30 +149,45 @@ class TestSolveBounded:
         assert list(reps) == sorted(reps, key=lambda p: (p.w, p.u))
 
 
+def block_orbit(problem, hit, box):
+    """Solutions within |u|, |w| <= box on the block orbit of ``hit``, both ways."""
+    step, _ = block_unit(problem)
+    covered = set()
+    for direction in (1, -1):
+        cur, grace = hit, 3
+        while grace:
+            if abs(cur.u) <= box and abs(cur.w) <= box:
+                covered.add((cur.u, cur.w))
+            else:
+                grace -= 1
+            cur = orbit_step(cur, step, direction)
+    return covered
+
+
 class TestConstrained:
+    def _reached(self, prob):
+        return {
+            prob.decode(PellSolution(u, w))
+            for hit in constrained_orbit_hits(prob)
+            for (u, w) in block_orbit(prob, hit, 10**4)
+        }
+
     def test_plus_family_seed(self):
         cfg = make_lattice(5, 17, 1)
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, 1))
-        res = solve_constrained(prob, 8)
-        assert not res.empty
-        decoded = {prob.decode(s) for s in res.solutions}
-        assert (1, 1) in decoded
+        assert (1, 1) in self._reached(prob)
 
     def test_minus_family_seed(self):
         cfg = make_lattice(5, 17, 1)
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, -1))
-        res = solve_constrained(prob, 8)
-        decoded = {prob.decode(s) for s in res.solutions}
-        assert (-7, 1) in decoded
+        assert (-7, 1) in self._reached(prob)
 
     def test_certified_empty(self):
         # u^2 - 2w^2 = 1 forces u odd, so u = 0 mod 2 is impossible
         prob = PellProblem(2, 1, (LinearCongruence(1, 0, 0, 2),))
-        res = solve_constrained(prob, 16)
-        assert res.empty
-        assert res.solutions == ()
-        assert res.residue_period >= 1
-        assert res.classes_scanned >= 1
+        assert constrained_orbit_hits(prob) == ()
+        assert residue_period(prob) >= 1
+        assert class_representatives(2, 1)
 
     def test_empty_matches_brute_force(self):
         rng = random.Random(99)
@@ -164,18 +196,19 @@ class TestConstrained:
             n = rng.choice([k for k in range(-30, 31) if k != 0])
             con = LinearCongruence(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5), rng.randint(1, 9))
             prob = PellProblem(d, n, (con,))
-            res = solve_constrained(prob, 48)
-            got = {(s.u, s.w) for s in res.solutions}
+            hits = constrained_orbit_hits(prob)
             brute = {
                 (u, w)
                 for (u, w) in brute_solutions(d, n, 2000)
                 if con.holds(u, w)
             }
-            assert brute <= got, (d, n, con)
-            if res.empty:
-                assert not brute
-            for (u, w) in got:
-                assert u * u - d * w * w == n and con.holds(u, w)
+            if not hits:
+                assert not brute, (d, n, con)
+            covered = set()
+            for hit in hits:
+                assert hit.u * hit.u - d * hit.w * hit.w == n and con.holds(hit.u, hit.w)
+                covered |= block_orbit(prob, hit, 2000)
+            assert brute <= covered, (d, n, con, sorted(brute - covered)[:4])
 
     def test_period_preserves_constraints(self):
         cfg = make_lattice(5, 17, 1)
@@ -283,8 +316,7 @@ def test_constrained_output_order_is_canonical():
     cfg = make_lattice(5, 17, 1)
     for sign in (1, -1):
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, sign))
-        res = solve_constrained(prob, 16)
-        key = [(abs(s.w), s.u, s.w) for s in res.solutions]
+        key = [(abs(s.w), s.u, s.w) for s in constrained_orbit_hits(prob)]
         assert key == sorted(key)
 
 
