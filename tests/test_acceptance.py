@@ -6,6 +6,7 @@ r, s in 1..4 with g > r*s, both signs, both orderings (plain and swapped),
 for all non-square d <= 2000.
 """
 
+import hashlib
 import random
 import time
 from math import isqrt
@@ -37,6 +38,11 @@ from k3witness.selfcheck import random_config, random_divisor, verify_unit_minim
 
 KNOWN_GENUS5_DS = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
 
+# SHA-256 over one line per sweep witness, in sweep order; pins every
+# (d, mu, x, y, seed, reachability) the grid produces
+SWEEP_COUNT = 31492
+SWEEP_SHA256 = "91685b52961424d1bbcd1e8ad21f0a596315e4ef9fbaddc53275156cb1839de9"
+
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -63,6 +69,18 @@ def sweep():
                         for w in enumerate_family(q, 2000):
                             items.append((q, w))
     return items
+
+
+def test_sweep_digest(sweep):
+    h = hashlib.sha256()
+    for q, w in sweep:
+        line = (
+            f"{q.g},{q.r},{q.s},{q.sign},{q.tilde},{w.d},{w.mu},{w.x},{w.y},"
+            f"{w.seed},{w.threshold_reachable}\n"
+        )
+        h.update(line.encode())
+    assert len(sweep) == SWEEP_COUNT
+    assert h.hexdigest() == SWEEP_SHA256
 
 
 def test_criterion_1_genus5_determinant_list():
