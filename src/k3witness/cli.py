@@ -122,10 +122,6 @@ def witness_dict(w: Witness, query: FamilyQuery) -> dict:
     }
 
 
-def _witness_query(args, w: Witness) -> FamilyQuery:
-    return FamilyQuery(args.g, args.r, args.s, w.sign, getattr(args, "tilde", False))
-
-
 def _document(args, sign_word: str, witnesses: list[Witness], lattice=None) -> dict:
     return {
         "query": {
@@ -136,7 +132,7 @@ def _document(args, sign_word: str, witnesses: list[Witness], lattice=None) -> d
             "tilde": bool(getattr(args, "tilde", False)),
         },
         "lattice": lattice,
-        "witnesses": [witness_dict(w, _witness_query(args, w)) for w in witnesses],
+        "witnesses": [witness_dict(w, _query_from_args(args, w.sign)) for w in witnesses],
     }
 
 
@@ -166,7 +162,7 @@ _CSV_FIELDS = [
 def _csv_rows(args, witnesses: list[Witness]) -> str:
     lines = [",".join(_CSV_FIELDS)]
     for w in witnesses:
-        d = witness_dict(w, _witness_query(args, w))
+        d = witness_dict(w, _query_from_args(args, w.sign))
         row = [
             d["d"], d["mu"], d["sign"], d["x"], d["y"],
             d["D"]["x"], d["D"]["y"], d["F"]["x"], d["F"]["y"],
@@ -183,7 +179,7 @@ def _table(args, witnesses: list[Witness]) -> str:
     header = f"{'d':>6} {'mu':>4} {'sign':>5} {'x':>12} {'y':>10} {'F^2':>6} {'F.H':>12} {'D.H':>12} {'q':>6}  checks"
     lines = [header, "-" * len(header)]
     for w in witnesses:
-        d = witness_dict(w, _witness_query(args, w))
+        d = witness_dict(w, _query_from_args(args, w.sign))
         ok = "ok" if all(d["checks"].values()) else "FLAG:" + ",".join(
             k for k, v in d["checks"].items() if not v
         )
@@ -375,10 +371,7 @@ def cmd_selfcheck(args) -> int:
     seed = _resolve_knob(args, "seed", 20240901)
     iterations = _resolve_knob(args, "iterations", 200)
     xy_bound = _resolve_knob(args, "xy_bound", 500)
-    inject = os.environ.get("K3W_INJECT_FAULT", "") not in ("", "0")
-    results = selfcheck.run_all(
-        seed=seed, iterations=iterations, xy_bound=xy_bound, inject_fault=inject
-    )
+    results = selfcheck.run_all(seed=seed, iterations=iterations, xy_bound=xy_bound)
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

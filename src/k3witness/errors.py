@@ -48,10 +48,10 @@ class DegenerateQuery(K3WitnessError):
 class ThresholdUnreachable(K3WitnessError):
     """The orbit walk cannot make x small enough.
 
-    ``certified`` is True when the whole constrained orbit provably stays
-    above the threshold (its x values are bounded below), False when a
-    defensive step cap ran out.  ``best`` carries the solution with the
-    smallest x found, when one exists.
+    ``certified`` is True when no block with w != 0 on the constrained orbit
+    reaches the threshold (its x values are bounded below), False when a
+    defensive step cap ran out.  ``best`` carries the w != 0 solution with
+    the smallest x found, when one exists.
     """
 
     def __init__(self, message, *, best=None, certified=False):

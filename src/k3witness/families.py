@@ -54,10 +54,8 @@ from .pell import (
     LinearCongruence,
     PellProblem,
     PellSolution,
-    block_unit,
     constrained_orbit_hits,
     default_x_threshold,
-    orbit_step,
     push_negative,
     residue_period,
 )
@@ -262,14 +260,6 @@ def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
     return default_x_threshold(2 * query.g - 2, query.twist_rank)
 
 
-def _nonzero_block_sibling(sol: PellSolution, problem: PellProblem) -> PellSolution:
-    # w vanishes at most once per orbit; one block step fixes it
-    step, _ = block_unit(problem)
-    fwd = orbit_step(sol, step, 1)
-    bwd = orbit_step(sol, step, -1)
-    return min((fwd, bwd), key=lambda p: (problem.decode_x(p.u), p.w))
-
-
 def _build_witness(
     query: FamilyQuery,
     cfg: LatticeConfig,
@@ -331,48 +321,30 @@ def membership(
             continue
         cfg = make_lattice(query.g, d, mu)
         problem = pell_problem(cfg, query)
-        # a w = 0 hit still marks an orbit whose other elements have y != 0;
-        # replace it with a same-phase sibling one constrained block away
-        hits = [
-            h if h.w != 0 else _nonzero_block_sibling(h, problem)
-            for h in constrained_orbit_hits(problem)
-        ]
+        hits = constrained_orbit_hits(problem)
         period = residue_period(problem)
         if not hits:
             outcomes.append(MuOutcome(mu, False, None, period))
             continue
-        pushed_ok: list[tuple[PellSolution, PellSolution]] = []
-        fallback: list[tuple[PellSolution, PellSolution]] = []
+        reached: list[tuple[PellSolution, PellSolution]] = []
+        bounded: list[tuple[PellSolution, PellSolution]] = []
         for hit in hits:
             try:
-                pushed = push_negative(hit, problem, thr, max_blocks=search_depth)
-                if pushed.w == 0:
-                    pushed = push_negative(
-                        _nonzero_block_sibling(pushed, problem),
-                        problem,
-                        thr,
-                        max_blocks=search_depth,
-                    )
-                pushed_ok.append((pushed, hit))
+                reached.append(
+                    (push_negative(hit, problem, thr, max_blocks=search_depth), hit)
+                )
             except ThresholdUnreachable as exc:
                 if not exc.certified:
                     raise  # defensive cap ran out; a real orbit dip is near
-                fallback.append((exc.best, hit))
-        if pushed_ok:
-            # of all orbits that reach the threshold, stay closest to it
-            sol, seed = max(
-                pushed_ok, key=lambda pair: (problem.decode_x(pair[0].u), pair[0].w)
-            )
-            witness = _build_witness(query, cfg, problem, sol, seed, thr, True)
-        else:
-            adjusted = [
-                (_nonzero_block_sibling(b, problem) if b.w == 0 else b, seed)
-                for b, seed in fallback
-            ]
-            best, seed = min(
-                adjusted, key=lambda pair: (problem.decode_x(pair[0].u), pair[0].w)
-            )
-            witness = _build_witness(query, cfg, problem, best, seed, thr, False)
+                bounded.append((exc.best, hit))
+
+        def key(pair: tuple[PellSolution, PellSolution]) -> tuple[int, int]:
+            return problem.decode_x(pair[0].u), pair[0].w
+
+        # of all orbits that reach the threshold, stay closest to it; when
+        # none does, report the lowest orbit minimum
+        sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
+        witness = _build_witness(query, cfg, problem, sol, seed, thr, bool(reached))
         outcomes.append(MuOutcome(mu, True, witness, period))
     return outcomes
 
@@ -508,10 +480,6 @@ def witness_chain(
         cur = push_negative(
             cur, problem, problem.decode_x(cur.u) - 1, max_blocks=search_depth
         )
-        while cur.w == 0:
-            cur = push_negative(
-                cur, problem, problem.decode_x(cur.u) - 1, max_blocks=search_depth
-            )
         w = _build_witness(query, cfg, problem, cur, cur, first.x_threshold, True)
         chain.append(w)
     return chain

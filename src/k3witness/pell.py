@@ -31,7 +31,9 @@ Everything is exact integer arithmetic.  The three layers are:
    x) is convex, concave, or monotone in the block index j depending only on
    the signs of N and u; ``push_negative`` uses this to either reach the
    requested threshold or certify that the orbit's x values are bounded
-   below.
+   below.  The walk never returns a block with w = 0 (at most one per
+   orbit, where x is extremal); it reports that block's neighbour with the
+   lower (x, w) instead.
 """
 
 from __future__ import annotations
@@ -396,58 +398,53 @@ def push_negative(
     *,
     max_blocks: int = 64,
 ) -> PellSolution:
-    """Walk the constrained orbit of ``sol`` until decoded x <= x_threshold.
+    """First block on the constrained orbit of ``sol`` with w != 0 and
+    decoded x <= x_threshold.
 
-    Steps are whole residue periods, so every constraint is preserved.  On
-    the block-orbit, u = A*q^j + B*q^(-j) with A*B = rhs; for rhs > 0 and
-    u > 0 both coefficients are positive, u is convex in j with a positive
-    minimum, and the walk either finds the orbit minimum above the threshold
-    (raising ``ThresholdUnreachable`` with ``certified=True``) or returns the
-    first block below it.  In every other sign configuration x is unbounded
-    below along some direction and the walk succeeds.
+    Steps are whole residue periods, so every constraint is preserved.  A
+    block with w = 0 (at most one per orbit, where x is extremal) is never
+    returned nor reported as ``best``; its neighbour with the lower (x, w)
+    stands in for it.  The walk heads to the neighbour with the lower
+    (x, w).  On the block-orbit, u = A*q^j + B*q^(-j) with A*B = rhs; for
+    rhs > 0 and u > 0 both coefficients are positive and u is convex in j,
+    so the walk stops at the first block whose successor does not lower x
+    and raises ``ThresholdUnreachable`` with ``certified=True`` and that
+    orbit minimum as ``best``.  In every other sign configuration x is
+    unbounded below along the walk and it succeeds.
     """
     if problem.residual(sol.u, sol.w) != 0:
         raise ValueError("not a solution of the problem")
     if not problem.meets_constraints(sol.u, sol.w):
         raise ValueError("solution does not satisfy the problem constraints")
-    if problem.decode_x(sol.u) <= x_threshold:
-        return sol
+    if sol.w and problem.decode_x(sol.u) <= x_threshold:
+        return sol  # before computing the block unit
     step, _ = block_unit(problem)
 
-    def x_of(p: PellSolution) -> int:
-        return problem.decode_x(p.u)
+    def key(p: PellSolution) -> tuple[int, int]:
+        return problem.decode_x(p.u), p.w
 
-    fwd = orbit_step(sol, step, 1)
-    bwd = orbit_step(sol, step, -1)
-    if problem.rhs > 0 and sol.u > 0:
-        # convex case: descend to the orbit minimum
-        cur, direction = (fwd, 1) if x_of(fwd) < x_of(bwd) else (bwd, -1)
-        best = sol
-        if x_of(cur) < x_of(best):
-            for _ in range(max_blocks):
-                best = cur
-                if x_of(best) <= x_threshold:
-                    return best
-                cur = orbit_step(cur, step, direction)
-                if x_of(cur) >= x_of(best):
-                    break
-            else:  # pragma: no cover - defensive
-                raise ThresholdUnreachable(
-                    "block walk exhausted before the orbit minimum",
-                    best=best,
-                    certified=False,
-                )
-        raise ThresholdUnreachable(
-            f"orbit x values are bounded below by {x_of(best)} > {x_threshold}",
-            best=best,
-            certified=True,
-        )
-    cur, direction = (fwd, 1) if x_of(fwd) <= x_of(bwd) else (bwd, -1)
-    for _ in range(max_blocks):
-        if x_of(cur) <= x_threshold:
-            assert problem.meets_constraints(cur.u, cur.w)
+    def off_axis(p: PellSolution) -> PellSolution:
+        if p.w:
+            return p
+        return min(orbit_step(p, step, 1), orbit_step(p, step, -1), key=key)
+
+    cur = off_axis(sol)
+    fwd, bwd = orbit_step(cur, step, 1), orbit_step(cur, step, -1)
+    nxt, direction = (fwd, 1) if key(fwd) < key(bwd) else (bwd, -1)
+    convex = problem.rhs > 0 and cur.u > 0
+    for _ in range(max_blocks + 1):
+        x = key(cur)[0]
+        if cur.w and x <= x_threshold:
             return cur
-        cur = orbit_step(cur, step, direction)
+        if convex and key(nxt)[0] >= x:
+            best = off_axis(cur)
+            raise ThresholdUnreachable(
+                f"x on the orbit's w != 0 blocks is bounded below by "
+                f"{key(best)[0]} > {x_threshold}",
+                best=best,
+                certified=True,
+            )
+        cur, nxt = nxt, orbit_step(nxt, step, direction)
     raise ThresholdUnreachable(
         f"no x <= {x_threshold} within {max_blocks} blocks",
         best=cur,

@@ -1,8 +1,7 @@
 """Seeded property suites wiring every module together.
 
 Each suite returns (name, ok, detail); ``run_all`` drives them with one seed
-so a run is reproducible.  ``inject_fault=True`` deliberately corrupts the
-first comparison to prove the harness reports failures.
+so a run is reproducible.
 """
 
 from __future__ import annotations
@@ -70,11 +69,10 @@ def verify_unit_minimal(d: int, u0: int, w0: int, enumerate_cap: int = 200_000) 
     return True
 
 
-def _suite_lattice(rng: random.Random, iterations: int, fault: bool):
-    offset = 1 if fault else 0
+def _suite_lattice(rng: random.Random, iterations: int):
     for _ in range(iterations):
         cfg = random_config(rng, allow_square=True)
-        if det_check(cfg) != -cfg.d + offset:
+        if det_check(cfg) != -cfg.d:
             return False, f"det mismatch at (g,d,mu)=({cfg.g},{cfg.d},{cfg.mu})"
         D = random_divisor(rng, cfg)
         if inner(D, D) % 2 != 0:
@@ -200,15 +198,10 @@ def _suite_bb(rng: random.Random, iterations: int):
     return True, f"q(h1) = sign*2r for {count} witnesses"
 
 
-def run_all(
-    seed: int = 20240901,
-    iterations: int = 200,
-    xy_bound: int = 500,
-    inject_fault: bool = False,
-):
+def run_all(seed: int = 20240901, iterations: int = 200, xy_bound: int = 500):
     rng = random.Random(seed)
     results = []
-    results.append(("lattice-arithmetic", *_suite_lattice(rng, iterations, inject_fault)))
+    results.append(("lattice-arithmetic", *_suite_lattice(rng, iterations)))
     results.append(("degree-generator", *_suite_gamma(rng, max(iterations // 4, 25))))
     results.append(("mukai-isometries", *_suite_isometries(rng, iterations)))
     results.append(("twist-pell-consistency", *_suite_twist_pell(rng, iterations)))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import k3witness.selfcheck
 from k3witness.cli import main
 from k3witness.families import FamilyQuery, _verify_fields
 from k3witness.lattice import divisor, make_lattice
@@ -218,7 +219,7 @@ def test_selfcheck_passes(capsys):
 
 
 def test_selfcheck_fault_injection(monkeypatch, capsys):
-    monkeypatch.setenv("K3W_INJECT_FAULT", "1")
+    monkeypatch.setattr(k3witness.selfcheck, "det_check", lambda cfg: 0)
     rc = run_cli("selfcheck", "--iterations", "10")
     out = capsys.readouterr().out
     assert rc == 1

@@ -15,6 +15,7 @@ from k3witness import (
     inner,
     member,
     membership,
+    push_negative,
     verify_witness,
     witness_chain,
 )
@@ -215,20 +216,37 @@ class TestThresholdFlagging:
         assert direct <= enum_ds
         assert 13 in enum_ds
 
+    def test_user_threshold_witnesses_have_nonzero_y(self):
+        # u^2 = 64 puts (x, y) = (0, 0) on a constrained orbit; at threshold 0
+        # it must not be reported, since y = 0 makes D a multiple of H
+        ws = enumerate_family(FamilyQuery(5, 1, 1, 1), 60, x_threshold=0)
+        assert [(w.d, w.x, w.y) for w in ws] == [
+            (17, -17, -1), (33, -22, 2), (41, -98, -14), (57, -19, -1)
+        ]
+        assert all(w.y != 0 and w.report.all_passed for w in ws)
+
     def test_w_zero_orbit_contributes_valid_sibling(self):
-        # (6, 0) solves u^2 - 13w^2 = 36 and meets every congruence; its
-        # constrained orbit must be represented by a y != 0 element
-        from k3witness.families import _nonzero_block_sibling, pell_problem
+        # (6, 0) solves u^2 - 13w^2 = 36 and meets every congruence; the walk
+        # from it must report a y != 0 element of its constrained orbit
+        from k3witness.families import pell_problem
         from k3witness.lattice import make_lattice
 
         q = FamilyQuery(4, 3, 1, 1)
         prob = pell_problem(make_lattice(4, 13, 1), q)
         base = prob.solution(6, 0)
         assert prob.meets_constraints(6, 0)
-        sib = _nonzero_block_sibling(base, prob)
-        assert sib.w != 0
-        assert prob.residual(sib.u, sib.w) == 0
-        assert prob.meets_constraints(sib.u, sib.w)
+        assert prob.decode_x(base.u) == 0
+        for thr in (0, -4):
+            with pytest.raises(ThresholdUnreachable) as exc_info:
+                push_negative(base, prob, thr)
+            assert exc_info.value.certified
+            best = exc_info.value.best
+            assert best.w != 0
+            assert prob.residual(best.u, best.w) == 0
+            assert prob.meets_constraints(best.u, best.w)
+            assert (best.u, best.w) == (3894, -1080)
+        # once that neighbour reaches the threshold, the walk returns it
+        assert push_negative(base, prob, prob.decode_x(3894)) == best
 
 
 class TestWitnessChain:
