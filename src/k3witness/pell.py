@@ -433,14 +433,14 @@ def push_negative(
     nxt, direction = (fwd, 1) if key(fwd) < key(bwd) else (bwd, -1)
     convex = problem.rhs > 0 and cur.u > 0
     for _ in range(max_blocks + 1):
-        x = key(cur)[0]
+        x = problem.decode_x(cur.u)
         if cur.w and x <= x_threshold:
             return cur
-        if convex and key(nxt)[0] >= x:
+        if convex and problem.decode_x(nxt.u) >= x:
             best = off_axis(cur)
             raise ThresholdUnreachable(
                 f"x on the orbit's w != 0 blocks is bounded below by "
-                f"{key(best)[0]} > {x_threshold}",
+                f"{problem.decode_x(best.u)} > {x_threshold}",
                 best=best,
                 certified=True,
             )
