@@ -9,8 +9,9 @@ Commands:
   hilbert     degree-2 values q(h1), b(h1, H) for supplied witness data
   selfcheck   seeded property suites over all modules
 
-Exit codes: 0 success, 1 internal verification failure, 2 usage error,
-3 mathematically valid rejection (square d, no admissible mu, non-member).
+Exit codes: 0 success, 1 internal failure (a failed verification check or
+an internal error), 2 usage error, 3 mathematically valid rejection (square
+d, no admissible mu, non-member).
 
 Knob defaults may come from flags, K3W_* environment variables, or a
 key=value configuration file (--config); flags win over the environment,
@@ -53,7 +54,6 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 _KNOBS = {
-    "search_depth": (int, "K3W_SEARCH_DEPTH"),
     "x_threshold": (int, "K3W_X_THRESHOLD"),
     "xy_bound": (int, "K3W_XY_BOUND"),
     "fmt": (str, "K3W_FORMAT"),
@@ -220,15 +220,12 @@ def cmd_enumerate(args) -> int:
         print("error: --dmax must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     signs = [1, -1] if args.sign == "both" else [1 if args.sign == "plus" else -1]
-    depth = _resolve_knob(args, "search_depth", 64)
     thr = _resolve_knob(args, "x_threshold", None)
     witnesses: list[Witness] = []
     try:
         for sign in signs:
             q = _query_from_args(args, sign)
-            witnesses.extend(
-                enumerate_family(q, args.dmax, x_threshold=thr, search_depth=depth)
-            )
+            witnesses.extend(enumerate_family(q, args.dmax, x_threshold=thr))
     except DegenerateQuery as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -244,10 +241,9 @@ def cmd_enumerate(args) -> int:
 def cmd_member(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
-    depth = _resolve_knob(args, "search_depth", 64)
     thr = _resolve_knob(args, "x_threshold", None)
     try:
-        outcomes = membership(q, args.d, x_threshold=thr, search_depth=depth)
+        outcomes = membership(q, args.d, x_threshold=thr)
     except SquareDiscriminant as exc:
         print(f"square discriminant: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -271,13 +267,12 @@ def cmd_member(args) -> int:
 def cmd_witness(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
-    depth = _resolve_knob(args, "search_depth", 64)
     thr = _resolve_knob(args, "x_threshold", None)
     try:
         if args.count > 1:
-            chain = witness_chain(q, args.d, args.count, x_threshold=thr, search_depth=depth)
+            chain = witness_chain(q, args.d, args.count, x_threshold=thr)
         else:
-            w = member(q, args.d, x_threshold=thr, search_depth=depth)
+            w = member(q, args.d, x_threshold=thr)
             if w is None:
                 print(f"d={args.d} is not a member", file=sys.stderr)
                 return EXIT_REJECTED
@@ -391,13 +386,6 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
 
 
 def _add_knob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--search-depth",
-        dest="search_depth",
-        type=int,
-        default=None,
-        help="bound on the block steps of the orbit walk (default 64)",
-    )
     p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default=None)
     p.add_argument("--out", dest="out", default=None)
@@ -469,6 +457,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def console_main() -> None:

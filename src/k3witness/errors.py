@@ -49,9 +49,9 @@ class ThresholdUnreachable(K3WitnessError):
     """The orbit walk cannot make x small enough.
 
     ``certified`` is True when no block with w != 0 on the constrained orbit
-    reaches the threshold (its x values are bounded below), False when a
-    defensive step cap ran out.  ``best`` carries the w != 0 solution with
-    the smallest x found, when one exists.
+    reaches the threshold (its x values are bounded below); the orbit walk
+    has no step cap, so every raise in this package sets it.  ``best``
+    carries the w != 0 solution with the smallest x, when one is known.
     """
 
     def __init__(self, message, *, best=None, certified=False):

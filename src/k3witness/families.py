@@ -293,7 +293,6 @@ def membership(
     d: int,
     *,
     x_threshold: Optional[int] = None,
-    search_depth: int = 64,
 ) -> list[MuOutcome]:
     """Membership of d decided separately for every admissible mu.
 
@@ -330,12 +329,8 @@ def membership(
         bounded: list[tuple[PellSolution, PellSolution]] = []
         for hit in hits:
             try:
-                reached.append(
-                    (push_negative(hit, problem, thr, max_blocks=search_depth), hit)
-                )
+                reached.append((push_negative(hit, problem, thr), hit))
             except ThresholdUnreachable as exc:
-                if not exc.certified:
-                    raise  # defensive cap ran out; a real orbit dip is near
                 bounded.append((exc.best, hit))
 
         def key(pair: tuple[PellSolution, PellSolution]) -> tuple[int, int]:
@@ -354,16 +349,13 @@ def member(
     d: int,
     *,
     x_threshold: Optional[int] = None,
-    search_depth: int = 64,
 ) -> Optional[Witness]:
     """Witness for d in the family, or None when no admissible mu works.
 
     Prefers a witness whose D.H reached the negativity threshold; falls back
     to a threshold-flagged witness when every constrained orbit is bounded.
     """
-    return preferred_witness(
-        membership(query, d, x_threshold=x_threshold, search_depth=search_depth)
-    )
+    return preferred_witness(membership(query, d, x_threshold=x_threshold))
 
 
 def preferred_witness(outcomes: list[MuOutcome]) -> Optional[Witness]:
@@ -380,7 +372,6 @@ def enumerate_family(
     d_max: int,
     *,
     x_threshold: Optional[int] = None,
-    search_depth: int = 64,
 ) -> list[Witness]:
     """All family members d <= d_max, ascending, each with its witness."""
     if d_max < 1:
@@ -393,7 +384,7 @@ def enumerate_family(
     for d in range(2, d_max + 1):
         if is_perfect_square(d) or not unit_square_roots(query.g, d):
             continue
-        w = member(query, d, x_threshold=x_threshold, search_depth=search_depth)
+        w = member(query, d, x_threshold=x_threshold)
         if w is not None:
             out.append(w)
     return out
@@ -455,7 +446,6 @@ def witness_chain(
     count: int,
     *,
     x_threshold: Optional[int] = None,
-    search_depth: int = 64,
 ) -> list[Witness]:
     """Chain of ``count`` witnesses with strictly decreasing x, all verified.
 
@@ -464,12 +454,13 @@ def witness_chain(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    first = member(query, d, x_threshold=x_threshold, search_depth=search_depth)
+    first = member(query, d, x_threshold=x_threshold)
     if first is None:
         raise NoValidMu(f"d={d} is not a member for any admissible mu")
     if not first.threshold_reachable:
         raise ThresholdUnreachable(
-            f"d={d}: orbit x values are bounded below; no descending chain"
+            f"d={d}: orbit x values are bounded below; no descending chain",
+            certified=True,
         )
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
@@ -477,9 +468,7 @@ def witness_chain(
     rr = query.twist_rank
     cur = problem.solution(rr * first.x + cfg.h_square, rr * first.y)
     while len(chain) < count:
-        cur = push_negative(
-            cur, problem, problem.decode_x(cur.u) - 1, max_blocks=search_depth
-        )
+        cur = push_negative(cur, problem, problem.decode_x(cur.u) - 1)
         w = _build_witness(query, cfg, problem, cur, cur, first.x_threshold, True)
         chain.append(w)
     return chain

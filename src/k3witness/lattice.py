@@ -163,7 +163,8 @@ def inner(a: Divisor, b: Divisor) -> int:
     cfg = a.config
     num = a.x * b.x - cfg.d * a.y * b.y
     q, r = divmod(num, cfg.h_square)
-    assert r == 0, "integrality is guaranteed by the lattice congruences"
+    if r:
+        raise NotInLattice("intersection number is not an integer")
     return q
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import MixedLattices, NegativeDimension
+from .errors import K3WitnessError, MixedLattices, NegativeDimension
 from .lattice import Divisor, inner
 
 
@@ -46,7 +46,8 @@ def tensorize(v: MukaiVector, D: Divisor) -> MukaiVector:
     if v.c1.config != D.config:
         raise MixedLattices(f"{v.c1.config} vs {D.config}")
     d_sq = inner(D, D)
-    assert d_sq % 2 == 0
+    if d_sq % 2:
+        raise K3WitnessError("D^2 is odd; the lattice is not even")
     s_new = v.s0 + v.r0 * (d_sq // 2) + inner(D, v.c1)
     return MukaiVector(v.r0, v.c1 + v.r0 * D, s_new)
 

@@ -31,9 +31,9 @@ Everything is exact integer arithmetic.  The three layers are:
    x) is convex, concave, or monotone in the block index j depending only on
    the signs of N and u; ``push_negative`` uses this to either reach the
    requested threshold or certify that the orbit's x values are bounded
-   below.  The walk never returns a block with w = 0 (at most one per
-   orbit, where x is extremal); it reports that block's neighbour with the
-   lower (x, w) instead.
+   below; every step lowers x, so the walk needs no step cap.  It never
+   returns a block with w = 0 (at most one per orbit, where x is extremal);
+   it reports that block's neighbour with the lower (x, w) instead.
 """
 
 from __future__ import annotations
@@ -42,11 +42,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import SquareInput, ThresholdUnreachable
+from .errors import K3WitnessError, SquareInput, ThresholdUnreachable
 from .lattice import is_perfect_square
 
 _PQA_STEP_CAP = 200_000
 _ORDER_CAP = 2_000_000
+
+
+def _size(n: int) -> str:
+    # long values by size only: str() of an int past the digit limit raises
+    bits = n.bit_length()
+    return str(n) if bits <= 64 else f"<{'-' if n < 0 else '+'}{bits}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -110,18 +116,22 @@ class PellProblem:
 
     def solution(self, u: int, w: int) -> PellSolution:
         if self.residual(u, w) != 0:
-            raise ValueError(f"({u}, {w}) does not solve u^2 - {self.d}w^2 = {self.rhs}")
+            raise ValueError(
+                f"({_size(u)}, {_size(w)}) does not solve u^2 - {self.d}w^2 = {self.rhs}"
+            )
         return PellSolution(u, w)
 
     def decode_x(self, u: int) -> int:
         q, r = divmod(u - self.u_shift, self.scale)
-        assert r == 0, "u does not decode to an integer x"
+        if r:
+            raise K3WitnessError("u does not decode to an integer x")
         return q
 
     def decode(self, sol: PellSolution) -> tuple[int, int]:
         """Map (u, w) back to (x, y) through the affine substitution."""
         y, r = divmod(sol.w, self.scale)
-        assert r == 0, "w does not decode to an integer y"
+        if r:
+            raise K3WitnessError("w does not decode to an integer y")
         return self.decode_x(sol.u), y
 
 
@@ -275,7 +285,8 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
     The window is 0 <= w with 2*d*w^2 <= rhs*(u0 - 1) for rhs > 0, or
     2*d*w^2 <= -rhs*(u0 + 1) for rhs < 0; it contains at least one element
     of every solution class, and with the sign images (+-u, +-w) the output
-    generates every solution under the unit action.
+    generates every solution under the unit action.  |w| falls, then rises
+    along a unit orbit: each walk stops where it rises past the window.
     """
     unit = fundamental_unit(d)
     cap = rhs * (unit.u0 - 1) if rhs > 0 else -rhs * (unit.u0 + 1)
@@ -284,7 +295,8 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
 
     def consider(u: int, w: int) -> None:
         if w >= 0 and 2 * d * w * w <= cap:
-            assert u * u - d * w * w == rhs
+            if u * u - d * w * w != rhs:
+                raise K3WitnessError(f"orbit point off u^2 - {d}w^2 = {rhs}")
             found.add((u, w))
 
     for rep in class_representatives(d, rhs):
@@ -294,13 +306,12 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
             for direction in (1, -1):
                 cur = seed
                 prev_abs = abs(cur.w)
-                grace = 3
-                while grace:
+                while True:
                     cur = orbit_step(cur, unit, direction)
                     consider(cur.u, cur.w)
                     aw = abs(cur.w)
                     if aw > w_guard and aw >= prev_abs:
-                        grace -= 1
+                        break
                     prev_abs = aw
     return tuple(
         PellSolution(u, w) for (u, w) in sorted(found, key=lambda t: (t[1], t[0]))
@@ -392,11 +403,7 @@ def default_x_threshold(h_square: int, rank: int) -> int:
 
 
 def push_negative(
-    sol: PellSolution,
-    problem: PellProblem,
-    x_threshold: int,
-    *,
-    max_blocks: int = 64,
+    sol: PellSolution, problem: PellProblem, x_threshold: int
 ) -> PellSolution:
     """First block on the constrained orbit of ``sol`` with w != 0 and
     decoded x <= x_threshold.
@@ -409,8 +416,9 @@ def push_negative(
     rhs > 0 and u > 0 both coefficients are positive and u is convex in j,
     so the walk stops at the first block whose successor does not lower x
     and raises ``ThresholdUnreachable`` with ``certified=True`` and that
-    orbit minimum as ``best``.  In every other sign configuration x is
-    unbounded below along the walk and it succeeds.
+    orbit minimum as ``best``.  In every other sign configuration u is
+    concave or monotone, so x falls at every step and the walk reaches any
+    threshold; a step that does not lower x there raises ``RuntimeError``.
     """
     if problem.residual(sol.u, sol.w) != 0:
         raise ValueError("not a solution of the problem")
@@ -432,21 +440,19 @@ def push_negative(
     fwd, bwd = orbit_step(cur, step, 1), orbit_step(cur, step, -1)
     nxt, direction = (fwd, 1) if key(fwd) < key(bwd) else (bwd, -1)
     convex = problem.rhs > 0 and cur.u > 0
-    for _ in range(max_blocks + 1):
-        x = problem.decode_x(cur.u)
+    x = problem.decode_x(cur.u)
+    while True:
         if cur.w and x <= x_threshold:
             return cur
-        if convex and problem.decode_x(nxt.u) >= x:
+        nxt_x = problem.decode_x(nxt.u)
+        if nxt_x >= x:
+            if not convex:
+                raise RuntimeError(f"x stopped falling on a non-convex orbit, d={problem.d}")
             best = off_axis(cur)
             raise ThresholdUnreachable(
                 f"x on the orbit's w != 0 blocks is bounded below by "
-                f"{problem.decode_x(best.u)} > {x_threshold}",
+                f"{_size(problem.decode_x(best.u))} > {_size(x_threshold)}",
                 best=best,
                 certified=True,
             )
-        cur, nxt = nxt, orbit_step(nxt, step, direction)
-    raise ThresholdUnreachable(
-        f"no x <= {x_threshold} within {max_blocks} blocks",
-        best=cur,
-        certified=False,
-    )
+        cur, x, nxt = nxt, nxt_x, orbit_step(nxt, step, direction)

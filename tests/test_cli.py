@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+import k3witness.cli
 import k3witness.selfcheck
 from k3witness.cli import main
+from k3witness.errors import NoValidMu
 from k3witness.families import FamilyQuery, _verify_fields
 from k3witness.lattice import divisor, make_lattice
 
@@ -224,6 +226,27 @@ def test_selfcheck_fault_injection(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL lattice-arithmetic" in out
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (RuntimeError("walk stalled"), 1, "internal error: walk stalled"),
+        (ValueError("bad d"), 2, "error: bad d"),
+        (NoValidMu("no mu"), 3, "rejected: no mu"),
+    ],
+)
+def test_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(k3witness.cli, "membership", fail)
+    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
+                 "--sign", "plus")
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
 
 
 def test_env_override(monkeypatch, capsys):

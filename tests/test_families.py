@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -247,6 +248,32 @@ class TestThresholdFlagging:
             assert (best.u, best.w) == (3894, -1080)
         # once that neighbour reaches the threshold, the walk returns it
         assert push_negative(base, prob, prob.decode_x(3894)) == best
+
+
+    def test_far_threshold_is_reached(self):
+        # x falls at every block of a non-convex orbit, so the walk reaches
+        # any threshold however many blocks away it is
+        w = member(q522(1), 17, x_threshold=-10**300)
+        assert w is not None
+        assert w.threshold_reachable
+        assert w.x <= -10**300
+        assert w.report.all_passed
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_certified_minimum_past_the_digit_limit(self):
+        # some orbit's certified minimum has more than 640 decimal digits;
+        # the walk's messages must not format it
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            w = member(FamilyQuery(5, 1, 1, 1), 314161)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert w is not None
+        assert w.threshold_reachable
+        assert w.report.all_passed
 
 
 class TestWitnessChain:

@@ -17,7 +17,7 @@ from k3witness import (
     push_negative,
     solve_bounded,
 )
-from k3witness.errors import SquareInput, ThresholdUnreachable
+from k3witness.errors import K3WitnessError, SquareInput, ThresholdUnreachable
 from k3witness.families import pell_problem
 from k3witness.pell import (
     block_unit,
@@ -225,6 +225,15 @@ class TestConstrained:
             PellProblem(4, 8)
         with pytest.raises(ValueError):
             PellProblem(17, 0)
+
+    def test_decode_rejects_non_integral(self):
+        # u = 2x + 1, w = 2y: an even u or an odd w decodes to no integer
+        prob = PellProblem(17, 8, u_shift=1, scale=2)
+        assert prob.decode(PellSolution(5, 2)) == (2, 1)
+        with pytest.raises(K3WitnessError):
+            prob.decode_x(4)
+        with pytest.raises(K3WitnessError):
+            prob.decode(PellSolution(5, 1))
 
 
 class TestPushNegative:
