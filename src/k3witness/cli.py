@@ -53,10 +53,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
+_FORMATS = ("table", "json", "csv")
+
+
+def _format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"expected one of {', '.join(_FORMATS)}")
+    return value
+
+
 _KNOBS = {
     "x_threshold": (int, "K3W_X_THRESHOLD"),
     "xy_bound": (int, "K3W_XY_BOUND"),
-    "fmt": (str, "K3W_FORMAT"),
+    "fmt": (_format, "K3W_FORMAT"),
     "out": (str, "K3W_OUT"),
     "seed": (int, "K3W_SEED"),
     "iterations": (int, "K3W_ITERATIONS"),
@@ -73,7 +82,10 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _KNOBS:
+                raise ValueError(f"unknown key {key!r} (known: {', '.join(_KNOBS)})")
+            values[key] = val.strip()
     return values
 
 
@@ -82,12 +94,17 @@ def _resolve_knob(args, name: str, default=None):
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
-    if env_key in os.environ:
-        return cast(os.environ[env_key])
     cfg = getattr(args, "_config_values", {})
-    if name in cfg:
-        return cast(cfg[name])
-    return default
+    if env_key in os.environ:
+        source, raw = env_key, os.environ[env_key]
+    elif name in cfg:
+        source, raw = f"config key {name}", cfg[name]
+    else:
+        return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValueError(f"bad {source} value {raw!r}: {exc}") from None
 
 
 def _sign_word(sign: int) -> str:
@@ -387,7 +404,7 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
 
 def _add_knob_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=["table", "json", "csv"], default=None)
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
     p.add_argument("--out", dest="out", default=None)
     p.add_argument("--config", dest="config", default=None, help="key=value file")
 
@@ -453,6 +470,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error reading config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        for name in _KNOBS:
+            _resolve_knob(args, name)  # a bad environment or file value fails before any work
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -283,6 +283,32 @@ def test_bad_config_file(tmp_path, capsys):
                    "--sign", "plus", "--config", str(cfg)) == 2
 
 
+@pytest.mark.parametrize("text, key", [
+    ("fromat = json\n", "'fromat'"),
+    ("search_depth = 10\n", "'search_depth'"),
+    ("fmt = xml\n", "config key fmt"),
+], ids=["typo", "removed-key", "bad-format"])
+def test_config_file_rejects_unknown_keys_and_values(tmp_path, capsys, text, key):
+    cfg = tmp_path / "k3w.conf"
+    cfg.write_text(text)
+    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
+                 "--sign", "plus", "--config", str(cfg))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_env_format_must_be_a_choice(monkeypatch, capsys):
+    monkeypatch.setenv("K3W_FORMAT", "xml")
+    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
+                 "--sign", "plus")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "K3W_FORMAT" in captured.err and "xml" in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "k3witness.cli", "pell", "--d", "17", "--n", "8"],
