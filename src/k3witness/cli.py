@@ -13,18 +13,17 @@ Exit codes: 0 success, 1 internal failure (a failed verification check or
 an internal error), 2 usage error, 3 mathematically valid rejection (square
 d, no admissible mu, non-member).
 
-Knob defaults may come from flags, K3W_* environment variables, or a
-key=value configuration file (--config); flags win over the environment,
-which wins over the file.
+Every setting comes from a flag; neither the environment nor any file is
+read, so the output depends on the argument list alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 from .errors import (
     DegenerateQuery,
@@ -37,13 +36,14 @@ from .errors import (
 from .families import (
     FamilyQuery,
     Witness,
+    _bb_checks,
     enumerate_family,
     member,
     membership,
     preferred_witness,
     witness_chain,
 )
-from .hilbert import bb_pair_with_H, bb_square, hilbert_class
+from .hilbert import bb_pair_with_H, hilbert_class
 from .lattice import divisor, dot_H, make_lattice
 from .pell import fundamental_unit, solve_bounded
 from . import selfcheck
@@ -54,57 +54,6 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 _FORMATS = ("table", "json", "csv")
-
-
-def _format(value: str) -> str:
-    if value not in _FORMATS:
-        raise ValueError(f"expected one of {', '.join(_FORMATS)}")
-    return value
-
-
-_KNOBS = {
-    "x_threshold": (int, "K3W_X_THRESHOLD"),
-    "xy_bound": (int, "K3W_XY_BOUND"),
-    "fmt": (_format, "K3W_FORMAT"),
-    "out": (str, "K3W_OUT"),
-    "seed": (int, "K3W_SEED"),
-    "iterations": (int, "K3W_ITERATIONS"),
-}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _KNOBS:
-                raise ValueError(f"unknown key {key!r} (known: {', '.join(_KNOBS)})")
-            values[key] = val.strip()
-    return values
-
-
-def _resolve_knob(args, name: str, default=None):
-    cast, env_key = _KNOBS[name]
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_config_values", {})
-    if env_key in os.environ:
-        source, raw = env_key, os.environ[env_key]
-    elif name in cfg:
-        source, raw = f"config key {name}", cfg[name]
-    else:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {source} value {raw!r}: {exc}") from None
 
 
 def _sign_word(sign: int) -> str:
@@ -212,24 +161,23 @@ def _trim(n: int) -> str:
     return s if len(s) <= 12 else s[:4] + ".." + s[-4:] + f"({len(s)}d)"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Write doc() as JSON under --format json, else text(), to --out or stdout."""
+    data = json.dumps(doc(), indent=2, sort_keys=True) + "\n" if args.fmt == "json" else text()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data)
 
 
 def _render(args, witnesses: list[Witness], sign_word: str, lattice=None) -> None:
-    fmt = _resolve_knob(args, "fmt", "table")
-    out = _resolve_knob(args, "out", None)
-    if fmt == "json":
-        doc = _document(args, sign_word, witnesses, lattice)
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-    elif fmt == "csv":
-        _emit(_csv_rows(args, witnesses), out)
-    else:
-        _emit(_table(args, witnesses), out)
+    rows = _csv_rows if args.fmt == "csv" else _table
+    _emit(
+        args,
+        lambda: _document(args, sign_word, witnesses, lattice),
+        lambda: rows(args, witnesses),
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -237,12 +185,11 @@ def cmd_enumerate(args) -> int:
         print("error: --dmax must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     signs = [1, -1] if args.sign == "both" else [1 if args.sign == "plus" else -1]
-    thr = _resolve_knob(args, "x_threshold", None)
     witnesses: list[Witness] = []
     try:
         for sign in signs:
             q = _query_from_args(args, sign)
-            witnesses.extend(enumerate_family(q, args.dmax, x_threshold=thr))
+            witnesses.extend(enumerate_family(q, args.dmax, x_threshold=args.x_threshold))
     except DegenerateQuery as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -258,9 +205,8 @@ def cmd_enumerate(args) -> int:
 def cmd_member(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
-    thr = _resolve_knob(args, "x_threshold", None)
     try:
-        outcomes = membership(q, args.d, x_threshold=thr)
+        outcomes = membership(q, args.d, x_threshold=args.x_threshold)
     except SquareDiscriminant as exc:
         print(f"square discriminant: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -284,12 +230,11 @@ def cmd_member(args) -> int:
 def cmd_witness(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
-    thr = _resolve_knob(args, "x_threshold", None)
     try:
         if args.count > 1:
-            chain = witness_chain(q, args.d, args.count, x_threshold=thr)
+            chain = witness_chain(q, args.d, args.count, x_threshold=args.x_threshold)
         else:
-            w = member(q, args.d, x_threshold=thr)
+            w = member(q, args.d, x_threshold=args.x_threshold)
             if w is None:
                 print(f"d={args.d} is not a member", file=sys.stderr)
                 return EXIT_REJECTED
@@ -323,21 +268,16 @@ def cmd_pell(args) -> int:
     except SquareInput as exc:
         print(f"square input: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    out = _resolve_knob(args, "out", None)
-    fmt = _resolve_knob(args, "fmt", "table")
-    if fmt == "json":
-        doc = {
-            "d": args.d,
-            "n": args.n,
-            "fundamental_unit": {"u0": unit.u0, "w0": unit.w0},
-            "representatives": [{"u": r.u, "w": r.w} for r in reps],
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-    else:
-        lines = [f"fundamental unit: ({unit.u0}, {unit.w0})"]
-        lines.append(f"class representatives of u^2 - {args.d}w^2 = {args.n} (window):")
-        lines.extend(f"  ({r.u}, {r.w})" for r in reps)
-        _emit("\n".join(lines) + "\n", out)
+    doc = {
+        "d": args.d,
+        "n": args.n,
+        "fundamental_unit": {"u0": unit.u0, "w0": unit.w0},
+        "representatives": [{"u": r.u, "w": r.w} for r in reps],
+    }
+    lines = [f"fundamental unit: ({unit.u0}, {unit.w0})"]
+    lines.append(f"class representatives of u^2 - {args.d}w^2 = {args.n} (window):")
+    lines.extend(f"  ({r.u}, {r.w})" for r in reps)
+    _emit(args, lambda: doc, lambda: "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -350,40 +290,26 @@ def cmd_hilbert(args) -> int:
     except K3WitnessError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    rr = q.twist_rank
-    F = cfg.H + rr * D
-    n = q.length
-    h1 = hilbert_class(F, n)
-    qv, bv = bb_square(h1), bb_pair_with_H(h1)
-    target = sign * 2 * rr
-    ok = qv == target and (bv - rr * cfg.mu * args.y) % cfg.h_square == 0
+    F = cfg.H + q.twist_rank * D
+    h1 = hilbert_class(F, q.length)
+    q_check, b_check = _bb_checks(q, cfg, F, args.y)
+    ok = q_check.passed and b_check.passed
     doc = {
         "F": {"x": F.x, "y": F.y},
-        "n": n,
+        "n": h1.n,
         "eps": h1.eps,
-        "q": qv,
-        "q_target": target,
-        "b_with_H": bv,
-        "b_residue": (bv - rr * cfg.mu * args.y) % cfg.h_square,
+        "q": q_check.actual,
+        "q_target": q_check.expected,
+        "b_with_H": bb_pair_with_H(h1),
+        "b_residue": b_check.actual,
         "corollary_ok": ok,
     }
-    fmt = _resolve_knob(args, "fmt", "table")
-    out = _resolve_knob(args, "out", None)
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-    else:
-        _emit(
-            "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n",
-            out,
-        )
+    _emit(args, lambda: doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_selfcheck(args) -> int:
-    seed = _resolve_knob(args, "seed", 20240901)
-    iterations = _resolve_knob(args, "iterations", 200)
-    xy_bound = _resolve_knob(args, "xy_bound", 500)
-    results = selfcheck.run_all(seed=seed, iterations=iterations, xy_bound=xy_bound)
+    results = selfcheck.run_all(seed=args.seed, iterations=args.iterations, xy_bound=args.xy_bound)
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -404,12 +330,13 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
 
 def _add_knob_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=_FORMATS, default=None)
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
     p.add_argument("--out", dest="out", default=None)
-    p.add_argument("--config", dest="config", default=None, help="key=value file")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main() call."""
     parser = argparse.ArgumentParser(
         prog="k3witness",
         description="Pell-type witness search on rank-2 K3 Picard lattices",
@@ -451,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("selfcheck", help="seeded property suites")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--xy-bound", dest="xy_bound", type=int, default=None)
+    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--xy-bound", dest="xy_bound", type=int, default=500)
     _add_knob_flags(p)
     p.set_defaults(func=cmd_selfcheck)
 
@@ -461,17 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
+    args = build_parser().parse_args(argv)
     try:
-        args._config_values = _load_config_file(config_path) if config_path else {}
-    except (OSError, ValueError) as exc:
-        print(f"error reading config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        for name in _KNOBS:
-            _resolve_knob(args, name)  # a bad environment or file value fails before any work
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

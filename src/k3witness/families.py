@@ -236,13 +236,23 @@ def _verify_fields(
 
     checks.append(CheckOutcome("primitive_vector", is_primitive(v), True, is_primitive(v)))
 
+    checks.extend(_bb_checks(query, cfg, F, y))
+    return VerificationReport(tuple(checks))
+
+
+def _bb_checks(
+    query: FamilyQuery, cfg: LatticeConfig, F: Divisor, y: int
+) -> tuple[CheckOutcome, CheckOutcome]:
+    """The degree-2 checks on h1 = F + eps*f: q(h1) = sign*2r, b(h1, H) = r*mu*y mod 2g-2."""
+    rr = query.twist_rank
     h1 = hilbert_class(F, query.length)
     q_val = bb_square(h1)
-    checks.append(CheckOutcome("bb_square", q_val == sign * 2 * rr, sign * 2 * rr, q_val))
-    b_val = bb_pair_with_H(h1)
-    b_res = (b_val - rr * cfg.mu * y) % h2
-    checks.append(CheckOutcome("bb_pairing", b_res == 0, 0, b_res))
-    return VerificationReport(tuple(checks))
+    q_target = query.sign * 2 * rr
+    b_res = (bb_pair_with_H(h1) - rr * cfg.mu * y) % cfg.h_square
+    return (
+        CheckOutcome("bb_square", q_val == q_target, q_target, q_val),
+        CheckOutcome("bb_pairing", b_res == 0, 0, b_res),
+    )
 
 
 def verify_witness(

@@ -198,7 +198,7 @@ def _suite_bb(rng: random.Random, iterations: int):
     return True, f"q(h1) = sign*2r for {count} witnesses"
 
 
-def run_all(seed: int = 20240901, iterations: int = 200, xy_bound: int = 500):
+def run_all(seed: int, iterations: int, xy_bound: int):
     rng = random.Random(seed)
     results = []
     results.append(("lattice-arithmetic", *_suite_lattice(rng, iterations)))

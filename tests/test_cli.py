@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -249,64 +250,42 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
     assert captured.err.startswith(prefix)
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("K3W_FORMAT", "json")
-    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                 "--sign", "plus")
-    assert rc == 0
-    json.loads(capsys.readouterr().out)
+def test_output_ignores_the_environment(monkeypatch, tmp_path, capsys):
+    argv = ("member", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17")
+    assert run_cli(*argv) == 0
+    clean = capsys.readouterr().out
+    stray = tmp_path / "x"
+    for key, value in (("K3W_FORMAT", "csv"), ("K3W_X_THRESHOLD", "0"),
+                       ("K3W_OUT", str(stray)), ("K3W_SEED", "1")):
+        monkeypatch.setenv(key, value)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == clean
+    assert not stray.exists()
 
 
-def test_config_file(tmp_path, capsys):
+def test_config_flag_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "k3w.conf"
-    cfg.write_text("# defaults\nfmt = json\n")
-    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                 "--sign", "plus", "--config", str(cfg))
-    assert rc == 0
-    json.loads(capsys.readouterr().out)
+    cfg.write_text("fmt = json\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
+                "--sign", "plus", "--config", str(cfg))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_flag_beats_config(tmp_path, capsys):
-    cfg = tmp_path / "k3w.conf"
-    cfg.write_text("fmt=json\n")
-    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                 "--sign", "plus", "--config", str(cfg), "--format", "csv")
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.startswith("d,mu,sign")
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
 
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
 
-def test_bad_config_file(tmp_path, capsys):
-    cfg = tmp_path / "k3w.conf"
-    cfg.write_text("not a key value line\n")
-    assert run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                   "--sign", "plus", "--config", str(cfg)) == 2
-
-
-@pytest.mark.parametrize("text, key", [
-    ("fromat = json\n", "'fromat'"),
-    ("search_depth = 10\n", "'search_depth'"),
-    ("fmt = xml\n", "config key fmt"),
-], ids=["typo", "removed-key", "bad-format"])
-def test_config_file_rejects_unknown_keys_and_values(tmp_path, capsys, text, key):
-    cfg = tmp_path / "k3w.conf"
-    cfg.write_text(text)
-    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                 "--sign", "plus", "--config", str(cfg))
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert key in captured.err
-
-
-def test_env_format_must_be_a_choice(monkeypatch, capsys):
-    monkeypatch.setenv("K3W_FORMAT", "xml")
-    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--d", "17",
-                 "--sign", "plus")
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "K3W_FORMAT" in captured.err and "xml" in captured.err
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(3):
+        assert run_cli("pell", "--d", "17", "--n", "8") == 0
+    assert len(seen) == 3
+    assert seen[1] is seen[0] and seen[2] is seen[0]
 
 
 def test_console_entry_point():
