@@ -59,6 +59,7 @@ from .pell import (
     LinearCongruence,
     PellProblem,
     PellSolution,
+    block_unit,
     class_representatives,
     default_x_threshold,
     fundamental_unit,

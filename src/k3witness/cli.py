@@ -328,8 +328,9 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
     p.add_argument("--tilde", action="store_true", help="swap the roles of r and s")
 
 
-def _add_knob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
+def _add_output_flags(p: argparse.ArgumentParser, with_x_threshold: bool) -> None:
+    if with_x_threshold:
+        p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
     p.add_argument("--out", dest="out", default=None)
 
@@ -346,26 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="family members up to --dmax")
     _add_query_flags(p, with_sign_both=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_knob_flags(p)
+    _add_output_flags(p, with_x_threshold=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("member", help="membership of a single d")
     _add_query_flags(p, with_sign_both=False)
     p.add_argument("--d", type=int, required=True)
-    _add_knob_flags(p)
+    _add_output_flags(p, with_x_threshold=True)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("witness", help="membership with orbit details")
     _add_query_flags(p, with_sign_both=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, default=1, help="length of descending chain")
-    _add_knob_flags(p)
+    _add_output_flags(p, with_x_threshold=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("pell", help="fundamental unit and class representatives")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_knob_flags(p)
+    _add_output_flags(p, with_x_threshold=False)
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("hilbert", help="degree-2 values for witness data")
@@ -374,14 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    _add_knob_flags(p)
+    _add_output_flags(p, with_x_threshold=False)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("selfcheck", help="seeded property suites")
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--xy-bound", dest="xy_bound", type=int, default=500)
-    _add_knob_flags(p)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -30,6 +30,7 @@ then carries the orbit minimum with ``threshold_reachable=False`` and check
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -54,6 +55,8 @@ from .pell import (
     LinearCongruence,
     PellProblem,
     PellSolution,
+    _descend,
+    block_unit,
     constrained_orbit_hits,
     default_x_threshold,
     push_negative,
@@ -331,15 +334,15 @@ def membership(
         cfg = make_lattice(query.g, d, mu)
         problem = pell_problem(cfg, query)
         hits = constrained_orbit_hits(problem)
-        period = residue_period(problem)
         if not hits:
-            outcomes.append(MuOutcome(mu, False, None, period))
+            outcomes.append(MuOutcome(mu, False, None, residue_period(problem)))
             continue
+        step, period = block_unit(problem)
         reached: list[tuple[PellSolution, PellSolution]] = []
         bounded: list[tuple[PellSolution, PellSolution]] = []
         for hit in hits:
             try:
-                reached.append((push_negative(hit, problem, thr), hit))
+                reached.append((push_negative(hit, problem, thr, step), hit))
             except ThresholdUnreachable as exc:
                 bounded.append((exc.best, hit))
 
@@ -460,7 +463,9 @@ def witness_chain(
     """Chain of ``count`` witnesses with strictly decreasing x, all verified.
 
     Realizes the unboundedness of the solution orbit: each element is one
-    constrained block further down the orbit of the first witness.
+    constrained block further down the orbit of the first witness, one step
+    of the block unit each.  Raises a certified ``ThresholdUnreachable``
+    where a convex orbit bottoms out first.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -474,11 +479,10 @@ def witness_chain(
         )
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
-    chain = [first]
+    step, _ = block_unit(problem)
     rr = query.twist_rank
-    cur = problem.solution(rr * first.x + cfg.h_square, rr * first.y)
-    while len(chain) < count:
-        cur = push_negative(cur, problem, problem.decode_x(cur.u) - 1)
-        w = _build_witness(query, cfg, problem, cur, cur, first.x_threshold, True)
-        chain.append(w)
+    start = problem.solution(rr * first.x + cfg.h_square, rr * first.y)
+    chain = [first]  # the walk's first block is the first witness
+    for sol in islice(_descend(start, problem, step), 1, count):
+        chain.append(_build_witness(query, cfg, problem, sol, sol, first.x_threshold, True))
     return chain

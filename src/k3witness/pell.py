@@ -30,21 +30,23 @@ Everything is exact integer arithmetic.  The three layers are:
    moduli) is invertible of finite order T, so constraint satisfaction along
    an orbit is T-periodic: scanning one full period of every class
    representative decides emptiness outright, and walking in steps of T
-   ("blocks") moves along a constrained orbit.  On each block-orbit the value
-   u is A*q^j + B*q^(-j) with q = unit^T and A*B = N, so u (hence the decoded
-   x) is convex, concave, or monotone in the block index j depending only on
-   the signs of N and u; ``push_negative`` uses this to either reach the
-   requested threshold or certify that the orbit's x values are bounded
-   below; every step lowers x, so the walk needs no step cap.  It never
-   returns a block with w = 0 (at most one per orbit, where x is extremal);
-   it reports that block's neighbour with the lower (x, w) instead.
+   ("blocks") moves along a constrained orbit.  M and T have one formula
+   each; the block unit q = unit^T is built by ``block_unit``, once per
+   problem by the caller, who passes it down.  On each block-orbit the value u is
+   A*q^j + B*q^(-j) with A*B = N, so u (hence the decoded x) is convex,
+   concave, or monotone in the block index j depending only on the signs of
+   N and u.  The one walk, ``_descend``, yields the w != 0 blocks with
+   falling x, one step of q each (w = 0 happens at most once per orbit,
+   where x is extremal), and stops with a certified minimum where a convex
+   orbit bottoms out; every step lowers x, so it needs no step cap.
+   ``push_negative`` and ``families.witness_chain`` both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .errors import K3WitnessError, SquareInput, ThresholdUnreachable
 from .lattice import is_perfect_square
@@ -147,9 +149,9 @@ def _first_unit(d: int) -> tuple[FundamentalUnit, int]:
     convergent is then the minimal norm-(-1) unit, and its square is the
     fundamental unit.
     """
-    s = isqrt(d)
-    if d < 2 or s * s == d:
+    if d < 2 or is_perfect_square(d):
         raise SquareInput(f"d={d} must be a non-square >= 2")
+    s = isqrt(d)
     p_prev, p = 1, s
     q_prev, q = 0, 1
     P, Q = s, d - s * s
@@ -389,13 +391,6 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
     )
 
 
-def _residue_modulus(problem: PellProblem) -> int:
-    M = 1
-    for c in problem.constraints:
-        M = M * c.modulus // gcd(M, c.modulus)
-    return M
-
-
 @lru_cache(maxsize=None)
 def _unit_order_mod(d: int, u0_mod: int, w0_mod: int, M: int) -> int:
     # multiplicative order of u0 + w0*sqrt(d) in Z[sqrt(d)]/M
@@ -412,18 +407,23 @@ def _unit_order_mod(d: int, u0_mod: int, w0_mod: int, M: int) -> int:
     return order
 
 
+def _modulus_and_period(problem: PellProblem) -> tuple[int, int]:
+    # M = lcm of the constraint moduli and the order T of the unit mod M
+    unit = fundamental_unit(problem.d)
+    M = lcm(*(c.modulus for c in problem.constraints))
+    return M, _unit_order_mod(problem.d, unit.u0 % M, unit.w0 % M, M)
+
+
 def residue_period(problem: PellProblem) -> int:
     """Order of the unit action on (u, w) mod lcm(constraint moduli)."""
-    unit = fundamental_unit(problem.d)
-    M = _residue_modulus(problem)
-    return _unit_order_mod(problem.d, unit.u0 % M, unit.w0 % M, M)
+    return _modulus_and_period(problem)[1]
 
 
 def block_unit(problem: PellProblem) -> tuple[FundamentalUnit, int]:
-    """unit^T together with T, where T is the residue period.
+    """The block unit q = unit^T together with T, where T is the residue period.
 
-    Stepping by unit^T preserves every constraint of the problem, so it
-    moves along constrained sub-orbits.
+    Stepping by q preserves every constraint of the problem, so it moves
+    along constrained sub-orbits.
     """
     T = residue_period(problem)
     return unit_power(fundamental_unit(problem.d), T), T
@@ -446,8 +446,7 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
     constrained solution set is empty.
     """
     unit = fundamental_unit(problem.d)
-    M = _residue_modulus(problem)
-    T = _unit_order_mod(problem.d, unit.u0 % M, unit.w0 % M, M)
+    M, T = _modulus_and_period(problem)
     u0m, w0m, dm = unit.u0 % M, unit.w0 % M, problem.d % M
     cons = [(c.a, c.b, c.c, c.modulus) for c in problem.constraints]
     powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
@@ -482,31 +481,18 @@ def default_x_threshold(h_square: int, rank: int) -> int:
     return -((h_square + m - 1) // m) - 1
 
 
-def push_negative(
-    sol: PellSolution, problem: PellProblem, x_threshold: int
-) -> PellSolution:
-    """First block on the constrained orbit of ``sol`` with w != 0 and
-    decoded x <= x_threshold.
+def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
+    """The w != 0 blocks of the constrained orbit of ``sol``, x falling.
 
-    Steps are whole residue periods, so every constraint is preserved.  A
-    block with w = 0 (at most one per orbit, where x is extremal) is never
-    returned nor reported as ``best``; its neighbour with the lower (x, w)
-    stands in for it.  The walk heads to the neighbour with the lower
-    (x, w).  On the block-orbit, u = A*q^j + B*q^(-j) with A*B = rhs; for
-    rhs > 0 and u > 0 both coefficients are positive and u is convex in j,
-    so the walk stops at the first block whose successor does not lower x
-    and raises ``ThresholdUnreachable`` with ``certified=True`` and that
-    orbit minimum as ``best``.  In every other sign configuration u is
-    concave or monotone, so x falls at every step and the walk reaches any
-    threshold; a step that does not lower x there raises ``RuntimeError``.
+    ``step`` is the problem's block unit q.  The first block is ``sol``, or
+    for w = 0 its neighbour with the lower (x, w); the walk heads to the
+    neighbour with the lower (x, w) and keeps that direction, passing over a
+    w = 0 block.  For rhs > 0 and u > 0 the orbit is convex: where the next
+    block does not lower x the walk raises ``ThresholdUnreachable`` with
+    ``certified=True`` and that orbit minimum as ``best``.  On any other
+    orbit x falls at every step, and a step that does not lower x raises
+    ``RuntimeError``.
     """
-    if problem.residual(sol.u, sol.w) != 0:
-        raise ValueError("not a solution of the problem")
-    if not problem.meets_constraints(sol.u, sol.w):
-        raise ValueError("solution does not satisfy the problem constraints")
-    if sol.w and problem.decode_x(sol.u) <= x_threshold:
-        return sol  # before computing the block unit
-    step, _ = block_unit(problem)
 
     def key(p: PellSolution) -> tuple[int, int]:
         return problem.decode_x(p.u), p.w
@@ -517,13 +503,12 @@ def push_negative(
         return min(orbit_step(p, step, 1), orbit_step(p, step, -1), key=key)
 
     cur = off_axis(sol)
+    x = problem.decode_x(cur.u)
+    yield cur
     fwd, bwd = orbit_step(cur, step, 1), orbit_step(cur, step, -1)
     nxt, direction = (fwd, 1) if key(fwd) < key(bwd) else (bwd, -1)
     convex = problem.rhs > 0 and cur.u > 0
-    x = problem.decode_x(cur.u)
     while True:
-        if cur.w and x <= x_threshold:
-            return cur
         nxt_x = problem.decode_x(nxt.u)
         if nxt_x >= x:
             if not convex:
@@ -531,8 +516,26 @@ def push_negative(
             best = off_axis(cur)
             raise ThresholdUnreachable(
                 f"x on the orbit's w != 0 blocks is bounded below by "
-                f"{_size(problem.decode_x(best.u))} > {_size(x_threshold)}",
+                f"{_size(problem.decode_x(best.u))}",
                 best=best,
                 certified=True,
             )
         cur, x, nxt = nxt, nxt_x, orbit_step(nxt, step, direction)
+        if cur.w:
+            yield cur
+
+
+def push_negative(
+    sol: PellSolution, problem: PellProblem, x_threshold: int, step: FundamentalUnit
+) -> PellSolution:
+    """First block on the constrained orbit of ``sol`` with w != 0 and
+    decoded x <= x_threshold, walking by the block unit ``step`` (see
+    ``block_unit``).  Where a convex orbit bottoms out above the threshold,
+    raises ``ThresholdUnreachable`` with ``certified=True`` and the orbit
+    minimum as ``best`` (see ``_descend``).
+    """
+    if problem.residual(sol.u, sol.w) != 0:
+        raise ValueError("not a solution of the problem")
+    if not problem.meets_constraints(sol.u, sol.w):
+        raise ValueError("solution does not satisfy the problem constraints")
+    return next(p for p in _descend(sol, problem, step) if problem.decode_x(p.u) <= x_threshold)

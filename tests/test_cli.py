@@ -198,6 +198,35 @@ def test_pell_zero_rhs_usage(capsys):
     assert run_cli("pell", "--d", "17", "--n", "0") == 2
 
 
+def test_pell_negative_d_rejected(capsys):
+    assert run_cli("pell", "--d", "-5", "--n", "8") == 3
+    assert capsys.readouterr().err.startswith("square input: d=-5")
+
+
+_HILBERT_ARGV = ("hilbert", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus",
+                 "--d", "17", "--mu", "1", "--x", "-9", "--y", "-1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("pell", "--d", "17", "--n", "8"), ("--x-threshold", "3")),
+        (_HILBERT_ARGV, ("--x-threshold", "3")),
+        (("selfcheck", "--iterations", "1"), ("--x-threshold", "3")),
+        (("selfcheck", "--iterations", "1"), ("--format", "json")),
+        (("selfcheck", "--iterations", "1"), ("--out", "report.txt")),
+    ],
+    ids=["pell-x-threshold", "hilbert-x-threshold", "selfcheck-x-threshold",
+         "selfcheck-format", "selfcheck-out"],
+)
+def test_ignored_flags_are_usage_errors(capsys, argv, flag):
+    # these commands never read the flag, so accepting it would mislead
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_hilbert_command(capsys):
     rc = run_cli("hilbert", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus",
                  "--d", "17", "--mu", "1", "--x", "-9", "--y", "-1",

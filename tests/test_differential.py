@@ -20,7 +20,6 @@ from k3witness import FamilyQuery, fundamental_unit, membership  # noqa: E402
 from k3witness.errors import NoValidMu, SquareDiscriminant  # noqa: E402
 from k3witness.families import rhs_value  # noqa: E402
 from k3witness.lattice import is_perfect_square, unit_square_roots  # noqa: E402
-from k3witness.pell import _unit_order_mod  # noqa: E402
 
 
 def independent_membership(g, rr, mu, d, rhs):
@@ -31,8 +30,12 @@ def independent_membership(g, rr, mu, d, rhs):
     reps = [(int(a), int(b)) for (a, b) in diop_DN(d, rhs)]
     unit = fundamental_unit(d)
     M = rr * h2
-    T = _unit_order_mod(d, unit.u0 % M, unit.w0 % M, M)
     u0m, w0m, dm = unit.u0 % M, unit.w0 % M, d % M
+    # the period T: the order of the unit mod M (M >= 4), found by stepping
+    T, a, b = 1, u0m, w0m
+    while (a, b) != (1, 0):
+        a, b = (a * u0m + b * w0m * dm) % M, (a * w0m + b * u0m) % M
+        T += 1
 
     def constrained(u, w):
         if (u - h2) % rr or w % rr:

@@ -231,15 +231,17 @@ class TestThresholdFlagging:
         # from it must report a y != 0 element of its constrained orbit
         from k3witness.families import pell_problem
         from k3witness.lattice import make_lattice
+        from k3witness.pell import block_unit
 
         q = FamilyQuery(4, 3, 1, 1)
         prob = pell_problem(make_lattice(4, 13, 1), q)
+        step, _ = block_unit(prob)
         base = prob.solution(6, 0)
         assert prob.meets_constraints(6, 0)
         assert prob.decode_x(base.u) == 0
         for thr in (0, -4):
             with pytest.raises(ThresholdUnreachable) as exc_info:
-                push_negative(base, prob, thr)
+                push_negative(base, prob, thr, step)
             assert exc_info.value.certified
             best = exc_info.value.best
             assert best.w != 0
@@ -247,7 +249,7 @@ class TestThresholdFlagging:
             assert prob.meets_constraints(best.u, best.w)
             assert (best.u, best.w) == (3894, -1080)
         # once that neighbour reaches the threshold, the walk returns it
-        assert push_negative(base, prob, prob.decode_x(3894)) == best
+        assert push_negative(base, prob, prob.decode_x(3894), step) == best
 
 
     def test_far_threshold_is_reached(self):

@@ -52,7 +52,7 @@ class TestFundamentalUnit:
         assert (fundamental_unit(3).u0, fundamental_unit(3).w0) == (2, 1)
 
     def test_square_input(self):
-        for d in (1, 4, 9, 16, 144):
+        for d in (-5, 0, 1, 4, 9, 16, 144):
             with pytest.raises(SquareInput):
                 fundamental_unit(d)
 
@@ -248,21 +248,21 @@ class TestPushNegative:
         prob = self._plus_problem()
         # (x, y) = (-9, -1), i.e. (u, w) = (-10, -2), sits at the threshold
         sol = prob.solution(-10, -2)
-        pushed = push_negative(sol, prob, -9)
+        pushed = push_negative(sol, prob, -9, block_unit(prob)[0])
         assert prob.decode_x(pushed.u) <= -9
         assert prob.meets_constraints(pushed.u, pushed.w)
 
     def test_walks_down_from_above(self):
         prob = self._plus_problem()
         sol = prob.solution(-10, -2)
-        pushed = push_negative(sol, prob, -100)
+        pushed = push_negative(sol, prob, -100, block_unit(prob)[0])
         assert prob.decode_x(pushed.u) <= -100
         assert prob.residual(pushed.u, pushed.w) == 0
 
     def test_already_satisfied_returns_start(self):
         prob = self._plus_problem()
         sol = prob.solution(10, 2)  # x = 1
-        assert push_negative(sol, prob, 1) == sol
+        assert push_negative(sol, prob, 1, block_unit(prob)[0]) == sol
 
     def test_certified_unreachable(self):
         # rhs > 0 with every constrained class on a positive-u orbit
@@ -270,14 +270,14 @@ class TestPushNegative:
         prob = pell_problem(cfg, FamilyQuery(4, 3, 1, 1))
         sol = prob.solution(33, 9)  # (x, y) = (9, 3)
         with pytest.raises(ThresholdUnreachable) as exc_info:
-            push_negative(sol, prob, -4)
+            push_negative(sol, prob, -4, block_unit(prob)[0])
         assert exc_info.value.certified
         assert exc_info.value.best is not None
 
     def test_rejects_non_solution(self):
         prob = self._plus_problem()
         with pytest.raises(ValueError):
-            push_negative(PellSolution(11, 2), prob, -9)
+            push_negative(PellSolution(11, 2), prob, -9, block_unit(prob)[0])
 
 
 class TestThresholdDefault:
