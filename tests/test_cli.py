@@ -250,6 +250,38 @@ def test_selfcheck_passes(capsys):
     assert "8/8 suites passed" in out
 
 
+_SELFCHECK_TAIL = """\
+PASS fundamental-units: fundamental units minimal for 110 non-square d <= 120
+PASS bounded-solver: bounded solver matches brute force on random (d, n)
+PASS family-enumeration: genus-5 families contain the expected 10 determinants (13 total)
+PASS hilbert-bb: q(h1) = sign*2r for 35 witnesses
+8/8 suites passed
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ((), """\
+PASS lattice-arithmetic: 200 random configs: det=-d, even squares, symmetry
+PASS degree-generator: 50 configs admit a divisor with D.H = 1
+PASS mukai-isometries: 200 random triples: isometry, additivity, involution
+PASS twist-pell-consistency: 200 random twists match the Pell relation
+""" + _SELFCHECK_TAIL),
+        (("--seed", "7", "--iterations", "40", "--xy-bound", "120"), """\
+PASS lattice-arithmetic: 40 random configs: det=-d, even squares, symmetry
+PASS degree-generator: 25 configs admit a divisor with D.H = 1
+PASS mukai-isometries: 40 random triples: isometry, additivity, involution
+PASS twist-pell-consistency: 40 random twists match the Pell relation
+""" + _SELFCHECK_TAIL),
+    ],
+    ids=["defaults", "seed7"],
+)
+def test_selfcheck_output_pinned(capsys, argv, expected):
+    assert run_cli("selfcheck", *argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_selfcheck_fault_injection(monkeypatch, capsys):
     monkeypatch.setattr(k3witness.selfcheck, "det_check", lambda cfg: 0)
     rc = run_cli("selfcheck", "--iterations", "10")
