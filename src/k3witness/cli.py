@@ -53,8 +53,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
-_FORMATS = ("table", "json", "csv")
-
 
 def _sign_word(sign: int) -> str:
     return "plus" if sign == 1 else "minus"
@@ -328,10 +326,12 @@ def _add_query_flags(p: argparse.ArgumentParser, with_sign_both: bool) -> None:
     p.add_argument("--tilde", action="store_true", help="swap the roles of r and s")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, with_x_threshold: bool) -> None:
-    if with_x_threshold:
+def _add_output_flags(p: argparse.ArgumentParser, witness_output: bool) -> None:
+    """--format and --out; commands that render witnesses add --x-threshold and csv."""
+    if witness_output:
         p.add_argument("--x-threshold", dest="x_threshold", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
+    formats = ("table", "json", "csv") if witness_output else ("table", "json")
+    p.add_argument("--format", dest="fmt", choices=formats, default="table")
     p.add_argument("--out", dest="out", default=None)
 
 
@@ -347,26 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="family members up to --dmax")
     _add_query_flags(p, with_sign_both=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_output_flags(p, with_x_threshold=True)
+    _add_output_flags(p, witness_output=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("member", help="membership of a single d")
     _add_query_flags(p, with_sign_both=False)
     p.add_argument("--d", type=int, required=True)
-    _add_output_flags(p, with_x_threshold=True)
+    _add_output_flags(p, witness_output=True)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("witness", help="membership with orbit details")
     _add_query_flags(p, with_sign_both=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, default=1, help="length of descending chain")
-    _add_output_flags(p, with_x_threshold=True)
+    _add_output_flags(p, witness_output=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("pell", help="fundamental unit and class representatives")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p, with_x_threshold=False)
+    _add_output_flags(p, witness_output=False)
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("hilbert", help="degree-2 values for witness data")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    _add_output_flags(p, with_x_threshold=False)
+    _add_output_flags(p, witness_output=False)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("selfcheck", help="seeded property suites")

@@ -35,6 +35,7 @@ from typing import Optional
 
 from .errors import (
     DegenerateQuery,
+    NegativeDimension,
     NoValidMu,
     SquareDiscriminant,
     ThresholdUnreachable,
@@ -84,7 +85,7 @@ class FamilyQuery:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.g < self.r * self.s:
-            raise ValueError(f"g={self.g} < r*s={self.r * self.s}")
+            raise NegativeDimension(f"g={self.g} < r*s={self.r * self.s}")
 
     @property
     def twist_rank(self) -> int:

@@ -55,10 +55,6 @@ class LatticeConfig:
         return 2 * self.g - 2
 
     @property
-    def disc_modulus(self) -> int:
-        return 4 * (self.g - 1)
-
-    @property
     def gram(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Gram matrix of the integral basis {H, (mu*H + G)/(2g-2)}."""
         h2 = self.h_square

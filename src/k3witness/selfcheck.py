@@ -1,7 +1,8 @@
 """Seeded property suites wiring every module together.
 
-Each suite returns (name, ok, detail); ``run_all`` drives them with one seed
-so a run is reproducible.
+Each suite takes a seeded ``random.Random`` and a size and returns
+(ok, detail); ``run_all`` drives them with one seed so a run is reproducible,
+and the tests call the same suites with seeds and counts of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .mukai import MukaiVector, pairing, reflect, tensorize
 from .pell import FundamentalUnit, fundamental_unit, solve_bounded, unit_power
 
 
-def random_config(rng: random.Random, g_max: int = 14, allow_square: bool = False):
+def _random_config(rng: random.Random, g_max: int = 14, allow_square: bool = False):
     """A uniformly scattered valid (g, d, mu) configuration.
 
     Any unit mu and d = mu^2 + 4(g-1)k satisfy the defining congruence.
@@ -31,7 +32,7 @@ def random_config(rng: random.Random, g_max: int = 14, allow_square: bool = Fals
         return make_lattice(g, d, mu)
 
 
-def random_divisor(rng: random.Random, cfg, span: int = 30):
+def _random_divisor(rng: random.Random, cfg, span: int = 30):
     y = rng.randint(-span, span)
     k = rng.randint(-span, span)
     return divisor(cfg, cfg.mu * y + k * cfg.h_square, y)
@@ -71,13 +72,13 @@ def verify_unit_minimal(d: int, u0: int, w0: int, enumerate_cap: int = 200_000) 
 
 def _suite_lattice(rng: random.Random, iterations: int):
     for _ in range(iterations):
-        cfg = random_config(rng, allow_square=True)
+        cfg = _random_config(rng, allow_square=True)
         if det_check(cfg) != -cfg.d:
             return False, f"det mismatch at (g,d,mu)=({cfg.g},{cfg.d},{cfg.mu})"
-        D = random_divisor(rng, cfg)
+        D = _random_divisor(rng, cfg)
         if inner(D, D) % 2 != 0:
             return False, f"odd square at ({cfg.g},{cfg.d},{cfg.mu}), D=({D.x},{D.y})"
-        E = random_divisor(rng, cfg)
+        E = _random_divisor(rng, cfg)
         if inner(D, E) != inner(E, D):
             return False, "inner not symmetric"
     return True, f"{iterations} random configs: det=-d, even squares, symmetry"
@@ -85,7 +86,7 @@ def _suite_lattice(rng: random.Random, iterations: int):
 
 def _suite_gamma(rng: random.Random, iterations: int):
     for _ in range(iterations):
-        cfg = random_config(rng, allow_square=True)
+        cfg = _random_config(rng, allow_square=True)
         y = pow(cfg.mu, -1, cfg.h_square)
         D = divisor(cfg, 1, y)
         if D.x != 1:
@@ -95,11 +96,11 @@ def _suite_gamma(rng: random.Random, iterations: int):
 
 def _suite_isometries(rng: random.Random, iterations: int):
     for _ in range(iterations):
-        cfg = random_config(rng, allow_square=True)
-        v = MukaiVector(rng.randint(-6, 6), random_divisor(rng, cfg, 10), rng.randint(-6, 6))
-        w = MukaiVector(rng.randint(-6, 6), random_divisor(rng, cfg, 10), rng.randint(-6, 6))
-        D = random_divisor(rng, cfg, 10)
-        E = random_divisor(rng, cfg, 10)
+        cfg = _random_config(rng, allow_square=True)
+        v = MukaiVector(rng.randint(-6, 6), _random_divisor(rng, cfg, 10), rng.randint(-6, 6))
+        w = MukaiVector(rng.randint(-6, 6), _random_divisor(rng, cfg, 10), rng.randint(-6, 6))
+        D = _random_divisor(rng, cfg, 10)
+        E = _random_divisor(rng, cfg, 10)
         if pairing(tensorize(v, D), tensorize(w, D)) != pairing(v, w):
             return False, "twist is not an isometry"
         if pairing(reflect(v), reflect(w)) != pairing(v, w):
@@ -114,10 +115,10 @@ def _suite_isometries(rng: random.Random, iterations: int):
 def _suite_twist_pell(rng: random.Random, iterations: int):
     # third component hits sign*1 exactly when (x, y) solves the Pell relation
     for _ in range(iterations):
-        cfg = random_config(rng)
+        cfg = _random_config(rng)
         r = rng.randint(1, 4)
         s = rng.randint(1, 4)
-        D = random_divisor(rng, cfg, 12)
+        D = _random_divisor(rng, cfg, 12)
         tv = tensorize(MukaiVector(r, cfg.H, s), D)
         g1 = cfg.g - 1
         lhs = (r * D.x + 2 * g1) ** 2 - cfg.d * (r * D.y) ** 2
@@ -168,7 +169,8 @@ def _suite_bounded(rng: random.Random, iterations: int):
 def _suite_families(rng: random.Random, xy_bound: int):
     qp = FamilyQuery(5, 2, 2, 1)
     qm = FamilyQuery(5, 2, 2, -1)
-    ds = {w.d for w in enumerate_family(qp, 180)} | {w.d for w in enumerate_family(qm, 180)}
+    plus = {w.d for w in enumerate_family(qp, 180)}
+    ds = plus | {w.d for w in enumerate_family(qm, 180)}
     expected = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
     if not expected <= ds:
         return False, f"missing determinants: {sorted(expected - ds)}"
@@ -180,7 +182,7 @@ def _suite_families(rng: random.Random, xy_bound: int):
     if not direct <= ds:
         return False, f"direct oracle found extras: {sorted(direct - ds)}"
     tilde = {w.d for w in enumerate_family(FamilyQuery(5, 2, 2, 1, tilde=True), 180)}
-    if tilde != {w.d for w in enumerate_family(qp, 180)}:
+    if tilde != plus:
         return False, "tilde family differs for r = s"
     return True, f"genus-5 families contain the expected 10 determinants ({len(ds)} total)"
 
@@ -209,4 +211,4 @@ def run_all(seed: int, iterations: int, xy_bound: int):
     results.append(("bounded-solver", *_suite_bounded(rng, iterations)))
     results.append(("family-enumeration", *_suite_families(rng, xy_bound)))
     results.append(("hilbert-bb", *_suite_bb(rng, iterations)))
-    return [(name, ok, detail) for (name, ok, detail) in results]
+    return results

@@ -16,25 +16,20 @@ import pytest
 from k3witness import (
     FamilyQuery,
     MukaiVector,
-    divisor,
-    det_check,
     dot_H,
     enumerate_family,
     fundamental_unit,
     hilbert_class,
     infinitude,
     inner,
-    make_lattice,
     orbit_step,
-    pairing,
-    reflect,
     solve_bounded,
     tensorize,
     witness_chain,
 )
 from k3witness.hilbert import bb_square
 from k3witness.pell import PellSolution
-from k3witness.selfcheck import random_config, random_divisor, verify_unit_minimal
+from k3witness.selfcheck import _suite_isometries, _suite_lattice, verify_unit_minimal
 
 KNOWN_GENUS5_DS = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
 
@@ -209,27 +204,9 @@ def test_criterion_6_fundamental_units():
 
 
 def test_criterion_7_isometry_suite():
-    params = {3: (17, 1), 5: (17, 1), 8: (29, 1)}
-    total = 0
-    for g, (d, mu) in params.items():
-        cfg = make_lattice(g, d, mu)
-        rng = random.Random(1000 + g)
-        h2 = cfg.h_square
-        def rand_div():
-            y = rng.randint(-20, 20)
-            k = rng.randint(-20, 20)
-            return divisor(cfg, cfg.mu * y + k * h2, y)
-        for _ in range(1000):
-            v = MukaiVector(rng.randint(-8, 8), rand_div(), rng.randint(-8, 8))
-            w = MukaiVector(rng.randint(-8, 8), rand_div(), rng.randint(-8, 8))
-            D = rand_div()
-            E = rand_div()
-            assert pairing(tensorize(v, D), tensorize(w, D)) == pairing(v, w)
-            assert pairing(reflect(v), reflect(w)) == pairing(v, w)
-            assert tensorize(tensorize(v, D), E) == tensorize(v, D + E)
-            assert reflect(reflect(v)) == v
-            total += 1
-    report(7, f"{total} seeded triples: twists and the swap preserve the pairing")
+    ok, detail = _suite_isometries(random.Random(1000), 3000)
+    assert ok, detail
+    report(7, "3000 seeded triples: twists and the swap preserve the pairing")
 
 
 def test_criterion_8_descending_witness_orbit():
@@ -245,12 +222,6 @@ def test_criterion_8_descending_witness_orbit():
 
 
 def test_criterion_9_lattice_determinant_and_parity():
-    rng = random.Random(424242)
-    for _ in range(500):
-        cfg = random_config(rng, allow_square=True)
-        assert det_check(cfg) == -cfg.d
-    for _ in range(1000):
-        cfg = random_config(rng, allow_square=True)
-        D = random_divisor(rng, cfg)
-        assert inner(D, D) % 2 == 0
-    report(9, "det = -d on 500 configs; D.D even on 1000 divisors")
+    ok, detail = _suite_lattice(random.Random(424242), 1000)
+    assert ok, detail
+    report(9, "det = -d and D.D even on 1000 random configs")

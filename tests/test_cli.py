@@ -212,12 +212,14 @@ _HILBERT_ARGV = ("hilbert", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus"
     [
         (("pell", "--d", "17", "--n", "8"), ("--x-threshold", "3")),
         (_HILBERT_ARGV, ("--x-threshold", "3")),
+        (("pell", "--d", "17", "--n", "8"), ("--format", "csv")),
+        (_HILBERT_ARGV, ("--format", "csv")),
         (("selfcheck", "--iterations", "1"), ("--x-threshold", "3")),
         (("selfcheck", "--iterations", "1"), ("--format", "json")),
         (("selfcheck", "--iterations", "1"), ("--out", "report.txt")),
     ],
-    ids=["pell-x-threshold", "hilbert-x-threshold", "selfcheck-x-threshold",
-         "selfcheck-format", "selfcheck-out"],
+    ids=["pell-x-threshold", "hilbert-x-threshold", "pell-csv", "hilbert-csv",
+         "selfcheck-x-threshold", "selfcheck-format", "selfcheck-out"],
 )
 def test_ignored_flags_are_usage_errors(capsys, argv, flag):
     # these commands never read the flag, so accepting it would mislead

@@ -6,6 +6,7 @@ import pytest
 from k3witness import (
     DegenerateQuery,
     FamilyQuery,
+    NegativeDimension,
     NoValidMu,
     SquareDiscriminant,
     ThresholdUnreachable,
@@ -315,7 +316,7 @@ class TestQueryValidation:
             FamilyQuery(2, 1, 1, 1)
 
     def test_g_below_rs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeDimension):
             FamilyQuery(3, 2, 2, 1)
 
     def test_twist_rank(self):

@@ -16,7 +16,7 @@ from k3witness import (
     make_lattice,
     unit_square_roots,
 )
-from k3witness.selfcheck import random_config, random_divisor
+from k3witness.selfcheck import _suite_gamma, _suite_lattice
 
 
 @st.composite
@@ -121,10 +121,8 @@ class TestDetCheck:
         assert det_check(cfg) == -17
 
     def test_random_sweep(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            cfg = random_config(rng, allow_square=True)
-            assert det_check(cfg) == -cfg.d
+        ok, detail = _suite_lattice(random.Random(11), 200)
+        assert ok, detail
 
 
 class TestUnitSquareRoots:
@@ -162,9 +160,5 @@ def test_inner_symmetric_bilinear(cfg, y1, k1, y2, k2):
 
 def test_degree_ideal_is_full():
     # gamma(H) = 1: a divisor with D.H = 1 exists in every configuration
-    rng = random.Random(5)
-    for _ in range(100):
-        cfg = random_config(rng, allow_square=True)
-        y = pow(cfg.mu, -1, cfg.h_square)
-        D = divisor(cfg, 1, y)
-        assert dot_H(D) == 1
+    ok, detail = _suite_gamma(random.Random(5), 100)
+    assert ok, detail

@@ -16,7 +16,7 @@ from k3witness import (
     tensorize,
     type_vector,
 )
-from k3witness.selfcheck import random_config, random_divisor
+from k3witness.selfcheck import _suite_isometries, _suite_twist_pell
 
 
 def _cfg5():
@@ -79,22 +79,9 @@ class TestTensorize:
         assert tensorize(v, divisor(cfg, 0, 0)) == v
 
     def test_isometry_random(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            cfg = random_config(rng, allow_square=True)
-            v = MukaiVector(rng.randint(-5, 5), random_divisor(rng, cfg, 8), rng.randint(-5, 5))
-            w = MukaiVector(rng.randint(-5, 5), random_divisor(rng, cfg, 8), rng.randint(-5, 5))
-            D = random_divisor(rng, cfg, 8)
-            assert pairing(tensorize(v, D), tensorize(w, D)) == pairing(v, w)
-
-    def test_additive_in_divisor(self):
-        rng = random.Random(29)
-        for _ in range(300):
-            cfg = random_config(rng, allow_square=True)
-            v = MukaiVector(rng.randint(-5, 5), random_divisor(rng, cfg, 8), rng.randint(-5, 5))
-            D = random_divisor(rng, cfg, 8)
-            E = random_divisor(rng, cfg, 8)
-            assert tensorize(tensorize(v, D), E) == tensorize(v, D + E)
+        # twists and the rank/Euler swap: isometries, additivity, involution
+        ok, detail = _suite_isometries(random.Random(23), 300)
+        assert ok, detail
 
 
 class TestReflect:
@@ -107,15 +94,6 @@ class TestReflect:
         cfg = _cfg5()
         v = MukaiVector(3, cfg.H, 3)
         assert reflect(v) == v
-
-    def test_involution_and_isometry(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            cfg = random_config(rng, allow_square=True)
-            v = MukaiVector(rng.randint(-5, 5), random_divisor(rng, cfg, 8), rng.randint(-5, 5))
-            w = MukaiVector(rng.randint(-5, 5), random_divisor(rng, cfg, 8), rng.randint(-5, 5))
-            assert reflect(reflect(v)) == v
-            assert pairing(reflect(v), reflect(w)) == pairing(v, w)
 
 
 class TestPrimitivity:
@@ -159,14 +137,5 @@ class TestModuliShape:
 
 def test_twist_euler_component_matches_pell_relation():
     # T_D(r, H, s) ends in sign*1 exactly when (x, y) solves the quadratic relation
-    rng = random.Random(37)
-    for _ in range(500):
-        cfg = random_config(rng)
-        r = rng.randint(1, 4)
-        s = rng.randint(1, 4)
-        D = random_divisor(rng, cfg, 10)
-        tv = tensorize(MukaiVector(r, cfg.H, s), D)
-        g1 = cfg.g - 1
-        lhs = (r * D.x + 2 * g1) ** 2 - cfg.d * (r * D.y) ** 2
-        for sign in (1, -1):
-            assert (lhs == 4 * g1 * (sign * r - r * s + g1)) == (tv.s0 == sign)
+    ok, detail = _suite_twist_pell(random.Random(37), 500)
+    assert ok, detail
