@@ -83,6 +83,10 @@ class TestTensorize:
         ok, detail = _suite_isometries(random.Random(23), 300)
         assert ok, detail
 
+    def test_additive_in_divisor(self):
+        ok, detail = _suite_isometries(random.Random(29), 300)
+        assert ok, detail
+
 
 class TestReflect:
     def test_swap(self):
@@ -94,6 +98,10 @@ class TestReflect:
         cfg = _cfg5()
         v = MukaiVector(3, cfg.H, 3)
         assert reflect(v) == v
+
+    def test_involution_and_isometry(self):
+        ok, detail = _suite_isometries(random.Random(31), 200)
+        assert ok, detail
 
 
 class TestPrimitivity:
