@@ -172,14 +172,14 @@ def rhs_value(query: FamilyQuery) -> int:
 def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
     """The constrained Pell problem whose solutions are the family witnesses.
 
-    Substitution u = rank*x + 2(g-1), w = rank*y; the congruences force the
-    divisibility of u - 2(g-1) and w by the rank and x = mu*y mod 2g-2.
+    Substitution u = rank*x + 2(g-1), w = rank*y.  The congruences w = 0
+    (mod rank) and u - mu*w = 2(g-1) (mod rank*(2g-2)) imply u = 2(g-1)
+    (mod rank), so x, y are integers with x = mu*y mod 2g-2.
     """
     rr = query.twist_rank
     h2 = cfg.h_square
     cons = []
     if rr > 1:
-        cons.append(LinearCongruence(1, 0, h2, rr))
         cons.append(LinearCongruence(0, 1, 0, rr))
     cons.append(LinearCongruence(1, -cfg.mu, h2, rr * h2))
     return PellProblem(
@@ -259,13 +259,10 @@ def _bb_checks(
     )
 
 
-def verify_witness(
-    w: Witness, query: FamilyQuery, x_threshold: Optional[int] = None
-) -> VerificationReport:
+def verify_witness(w: Witness, query: FamilyQuery) -> VerificationReport:
     """Recompute every identity of the witness from scratch."""
-    thr = w.x_threshold if x_threshold is None else x_threshold
     cfg = make_lattice(query.g, w.d, w.mu)
-    return _verify_fields(query, cfg, w.x, w.y, w.D, w.F, thr, w.threshold_reachable)
+    return _verify_fields(query, cfg, w.x, w.y, w.D, w.F, w.x_threshold, w.threshold_reachable)
 
 
 def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:

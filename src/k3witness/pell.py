@@ -1,10 +1,11 @@
 """Pell-type equations u^2 - d*w^2 = N with linear residue constraints.
 
-Everything is exact integer arithmetic.  The three layers are:
+Everything is exact integer arithmetic.  One continued-fraction expansion,
+the private generator ``_pqa`` (Robertson's PQa recurrences on the quadratic
+surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
 
-1. Fundamental unit.  The continued fraction of sqrt(d) (PQa recurrences on
-   the quadratic surd (P + sqrt(d))/Q) yields the minimal (u0, w0) with
-   u0^2 - d*w0^2 = 1.  The unit acts on solutions by
+1. Fundamental unit.  ``_pqa`` started at sqrt(d) = (0 + sqrt(d))/1 yields
+   the minimal (u0, w0) with u0^2 - d*w0^2 = 1.  The unit acts on solutions by
 
        (u, w) -> (u*u0 + d*w*w0, u*w0 + w*u0),
 
@@ -12,11 +13,11 @@ Everything is exact integer arithmetic.  The three layers are:
 
 2. Solution classes.  Every solution of u^2 - d*w^2 = N is (+-)(unit^k)
    applied to finitely many representatives.  Primitive representatives for
-   the right-hand side m come from the PQa expansion started at
-   P0 = z, Q0 = |m| for each square root z of d mod |m|.  The roots come
-   from the factorisation of |m| by trial division: Tonelli-Shanks mod each
-   odd prime, a lift to each prime power one p-adic digit at a time (which
-   also covers p = 2 and p | d), and the Chinese remainder theorem.  A
+   the right-hand side m come from ``_pqa`` started at P0 = z, Q0 = |m|
+   for each square root z of d mod |m|.  The roots come from the
+   factorisation of |m| by trial division: Tonelli-Shanks mod each odd prime,
+   a lift to each prime power one p-adic digit at a time (which also covers
+   p = 2 and p | d), and the Chinese remainder theorem.  A
    candidate is read off whenever the expansion reaches Q = +-1 inside the
    first cycle of its (P, Q) states, with the norm-(-1) unit converting a
    wrong-sign value when that unit exists.  Scaling by the square divisors
@@ -50,9 +51,6 @@ from math import isqrt, lcm
 
 from .errors import K3WitnessError, SquareInput, ThresholdUnreachable
 from .lattice import is_perfect_square
-
-_PQA_STEP_CAP = 200_000
-_ORDER_CAP = 2_000_000
 
 
 def _size(n: int) -> str:
@@ -141,27 +139,41 @@ class PellProblem:
         return self.decode_x(sol.u), y
 
 
+def _pqa(d: int, P: int, Q: int):
+    """PQa expansion of (P + sqrt(d))/Q, d non-square, Q | d - P^2.
+
+    Yields (G_{i-1}, B_{i-1}, Q_i), i >= 1, with G_{i-1}^2 - d*B_{i-1}^2 =
+    (-1)^i * Q_0 * Q_i.  Stops before the first repeated state (P_i, Q_i),
+    which comes as the expansion of a quadratic surd is eventually periodic.
+    """
+    s = isqrt(d)
+    g_pp, g_p = -P, Q  # G_{-2}, G_{-1}
+    b_pp, b_p = 1, 0  # B_{-2}, B_{-1}
+    seen: set[tuple[int, int]] = set()
+    while True:
+        a = (P + s if Q > 0 else P + s + 1) // Q  # floor, as the surd is irrational
+        g_pp, g_p = g_p, a * g_p + g_pp
+        b_pp, b_p = b_p, a * b_p + b_pp
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) in seen:
+            return
+        seen.add((P, Q))
+        yield g_p, b_p, Q
+
+
 @lru_cache(maxsize=None)
 def _first_unit(d: int) -> tuple[FundamentalUnit, int]:
     """First convergent (p, q) of sqrt(d) with p^2 - d*q^2 = +-1, and that norm.
 
-    The norm is -1 exactly when the period of the expansion is odd; the
-    convergent is then the minimal norm-(-1) unit, and its square is the
-    fundamental unit.
+    It ends the first period (Q = 1).  The norm is -1 exactly when the period
+    is odd; the convergent is then the minimal norm-(-1) unit, and its square
+    is the fundamental unit.
     """
     if d < 2 or is_perfect_square(d):
         raise SquareInput(f"d={d} must be a non-square >= 2")
-    s = isqrt(d)
-    p_prev, p = 1, s
-    q_prev, q = 0, 1
-    P, Q = s, d - s * s
-    while (norm := p * p - d * q * q) not in (1, -1):
-        a = (P + s) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        P = a * Q - P
-        Q = (d - P * P) // Q
-    return FundamentalUnit(d, p, q), norm
+    p, q = next((g, b) for g, b, Q in _pqa(d, 0, 1) if Q == 1)
+    return FundamentalUnit(d, p, q), p * p - d * q * q
 
 
 @lru_cache(maxsize=None)
@@ -204,13 +216,6 @@ def unit_power(unit: FundamentalUnit, k: int) -> FundamentalUnit:
         ba, bb = ba * ba + bb * bb * d, 2 * ba * bb
         k >>= 1
     return FundamentalUnit(d, ra, rb)
-
-
-def _cf_floor(P: int, Q: int, s: int) -> int:
-    # floor((P + sqrt(d)) / Q) with s = isqrt(d), d non-square; exact for Q of
-    # either sign because (P + sqrt(d))/Q is irrational.
-    num = P + s if Q > 0 else P + s + 1
-    return num // Q
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
@@ -293,40 +298,23 @@ def _sqrts_mod(a: int, m: int) -> tuple[int, ...]:
 def _primitive_class_reps(d: int, m: int) -> tuple[tuple[int, int], ...]:
     """One representative per class of primitive solutions of u^2 - d*w^2 = m.
 
-    PQa expansion of (z + sqrt(d))/|m| for each square root z of d mod |m|;
+    ``_pqa`` of (z + sqrt(d))/|m| for each square root z of d mod |m|;
     by G_{i-1}^2 - d*B_{i-1}^2 = (-1)^i * Q_i * |m|, every index with
     Q = +-1 produces a value +-m, and the norm-(-1) unit fixes the sign
     when needed.
     """
     am = abs(m)
-    s = isqrt(d)
     neg = negative_unit(d)
     out: list[tuple[int, int]] = []
     for z in _sqrts_mod(d % am, am):
-        P, Q = z, am
-        g_pp, g_p = -z, am  # G_{-2}, G_{-1}
-        b_pp, b_p = 1, 0  # B_{-2}, B_{-1}
-        seen: set[tuple[int, int]] = set()
-        for _ in range(_PQA_STEP_CAP):
-            a = _cf_floor(P, Q, s)
-            g_cur = a * g_p + g_pp
-            b_cur = a * b_p + b_pp
-            P = a * Q - P
-            Q = (d - P * P) // Q
-            if (P, Q) in seen:
-                break
-            seen.add((P, Q))
+        for g, b, Q in _pqa(d, z, am):
             if Q in (1, -1):
-                val = g_cur * g_cur - d * b_cur * b_cur
+                val = g * g - d * b * b
                 if val == m:
-                    out.append((g_cur, b_cur))
+                    out.append((g, b))
                 elif val == -m and neg is not None:
                     t, v = neg.u0, neg.w0
-                    out.append((g_cur * t + b_cur * v * d, g_cur * v + b_cur * t))
-            g_pp, g_p = g_p, g_cur
-            b_pp, b_p = b_p, b_cur
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"PQa expansion for d={d}, m={m} did not cycle")
+                    out.append((g * t + b * v * d, g * v + b * t))
     return tuple(dict.fromkeys(out))
 
 
@@ -393,7 +381,8 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
 
 @lru_cache(maxsize=None)
 def _unit_order_mod(d: int, u0_mod: int, w0_mod: int, M: int) -> int:
-    # multiplicative order of u0 + w0*sqrt(d) in Z[sqrt(d)]/M
+    # multiplicative order of u0 + w0*sqrt(d) in Z[sqrt(d)]/M; a norm-1 unit
+    # is invertible mod M, so its powers return to 1 in the finite unit group
     if M == 1:
         return 1
     a, b = u0_mod, w0_mod
@@ -402,8 +391,6 @@ def _unit_order_mod(d: int, u0_mod: int, w0_mod: int, M: int) -> int:
     while cur != (1, 0):
         cur = ((cur[0] * a + cur[1] * b * d) % M, (cur[0] * b + cur[1] * a) % M)
         order += 1
-        if order > _ORDER_CAP:  # pragma: no cover - defensive
-            raise RuntimeError(f"unit order mod {M} exceeded cap")
     return order
 
 

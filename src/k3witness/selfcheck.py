@@ -1,8 +1,9 @@
 """Seeded property suites wiring every module together.
 
-Each suite takes a seeded ``random.Random`` and a size and returns
-(ok, detail); ``run_all`` drives them with one seed so a run is reproducible,
-and the tests call the same suites with seeds and counts of their own.
+Each suite returns (ok, detail) and takes only what it uses: a seeded
+``random.Random`` and a size, the brute-force bound, or nothing.  ``run_all``
+drives them with one seed so a run is reproducible and fails a suite that
+raises; the tests call the same suites with seeds and counts of their own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _random_divisor(rng: random.Random, cfg, span: int = 30):
     return divisor(cfg, cfg.mu * y + k * cfg.h_square, y)
 
 
-def verify_unit_minimal(d: int, u0: int, w0: int, enumerate_cap: int = 200_000) -> bool:
+def verify_unit_minimal(d: int, u0: int, w0: int) -> bool:
     """Independent minimality oracle for a claimed fundamental unit.
 
     Below the cap, enumerate every smaller w directly.  Above it, use the
@@ -47,7 +48,7 @@ def verify_unit_minimal(d: int, u0: int, w0: int, enumerate_cap: int = 200_000) 
     """
     if u0 * u0 - d * w0 * w0 != 1 or w0 < 1:
         return False
-    if w0 <= enumerate_cap:
+    if w0 <= 200_000:
         for w in range(1, w0):
             t = 1 + d * w * w
             r = isqrt(t)
@@ -129,7 +130,7 @@ def _suite_twist_pell(rng: random.Random, iterations: int):
     return True, f"{iterations} random twists match the Pell relation"
 
 
-def _suite_units(rng: random.Random, iterations: int):
+def _suite_units():
     checked = 0
     for d in range(2, 121):
         if isqrt(d) ** 2 == d:
@@ -166,7 +167,7 @@ def _suite_bounded(rng: random.Random, iterations: int):
     return True, "bounded solver matches brute force on random (d, n)"
 
 
-def _suite_families(rng: random.Random, xy_bound: int):
+def _suite_families(xy_bound: int):
     qp = FamilyQuery(5, 2, 2, 1)
     qm = FamilyQuery(5, 2, 2, -1)
     plus = {w.d for w in enumerate_family(qp, 180)}
@@ -187,7 +188,7 @@ def _suite_families(rng: random.Random, xy_bound: int):
     return True, f"genus-5 families contain the expected 10 determinants ({len(ds)} total)"
 
 
-def _suite_bb(rng: random.Random, iterations: int):
+def _suite_bb():
     count = 0
     for g, r, s in [(5, 2, 2), (6, 2, 2), (7, 2, 3), (8, 1, 3)]:
         for sign in (1, -1):
@@ -202,13 +203,20 @@ def _suite_bb(rng: random.Random, iterations: int):
 
 def run_all(seed: int, iterations: int, xy_bound: int):
     rng = random.Random(seed)
+    suites = [
+        ("lattice-arithmetic", _suite_lattice, rng, iterations),
+        ("degree-generator", _suite_gamma, rng, max(iterations // 4, 25)),
+        ("mukai-isometries", _suite_isometries, rng, iterations),
+        ("twist-pell-consistency", _suite_twist_pell, rng, iterations),
+        ("fundamental-units", _suite_units),
+        ("bounded-solver", _suite_bounded, rng, iterations),
+        ("family-enumeration", _suite_families, xy_bound),
+        ("hilbert-bb", _suite_bb),
+    ]
     results = []
-    results.append(("lattice-arithmetic", *_suite_lattice(rng, iterations)))
-    results.append(("degree-generator", *_suite_gamma(rng, max(iterations // 4, 25))))
-    results.append(("mukai-isometries", *_suite_isometries(rng, iterations)))
-    results.append(("twist-pell-consistency", *_suite_twist_pell(rng, iterations)))
-    results.append(("fundamental-units", *_suite_units(rng, iterations)))
-    results.append(("bounded-solver", *_suite_bounded(rng, iterations)))
-    results.append(("family-enumeration", *_suite_families(rng, xy_bound)))
-    results.append(("hilbert-bb", *_suite_bb(rng, iterations)))
+    for name, suite, *args in suites:
+        try:
+            results.append((name, *suite(*args)))
+        except Exception as exc:
+            results.append((name, False, f"raised {type(exc).__name__}: {exc}"))
     return results

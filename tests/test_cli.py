@@ -8,7 +8,7 @@ import pytest
 import k3witness.cli
 import k3witness.selfcheck
 from k3witness.cli import main
-from k3witness.errors import NoValidMu
+from k3witness.errors import NotInLattice, NoValidMu
 from k3witness.families import FamilyQuery, _verify_fields
 from k3witness.lattice import divisor, make_lattice
 
@@ -290,6 +290,18 @@ def test_selfcheck_fault_injection(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL lattice-arithmetic" in out
+
+    # a suite that raises is a failed suite, and the others still run
+    def raise_not_in_lattice(cfg):
+        raise NotInLattice("intersection number is not an integer")
+
+    monkeypatch.setattr(k3witness.selfcheck, "det_check", raise_not_in_lattice)
+    rc = run_cli("selfcheck", "--iterations", "10")
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("FAIL lattice-arithmetic: raised NotInLattice: "
+            "intersection number is not an integer") in out
+    assert "7/8 suites passed" in out
 
 
 @pytest.mark.parametrize(

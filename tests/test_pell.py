@@ -50,6 +50,11 @@ class TestFundamentalUnit:
         assert (fundamental_unit(5).u0, fundamental_unit(5).w0) == (9, 4)
         assert (fundamental_unit(17).u0, fundamental_unit(17).w0) == (33, 8)
         assert (fundamental_unit(3).u0, fundamental_unit(3).w0) == (2, 1)
+        # a 60-term period
+        assert (fundamental_unit(991).u0, fundamental_unit(991).w0) == (
+            379516400906811930638014896080,
+            12055735790331359447442538767,
+        )
 
     def test_square_input(self):
         for d in (-5, 0, 1, 4, 9, 16, 144):
@@ -191,6 +196,12 @@ class TestConstrained:
         assert constrained_orbit_hits(prob) == ()
         assert residue_period(prob) >= 1
         assert class_representatives(2, 1)
+
+    def test_large_residue_period(self):
+        # p = 2,000,003 = 3 (mod 8) is inert in Z[sqrt(2)]; the unit's order
+        # mod p is p + 1, past any fixed step budget of a few million
+        prob = PellProblem(2, 1, (LinearCongruence(0, 1, 0, 2_000_003),))
+        assert residue_period(prob) == 2_000_004
 
     def test_empty_matches_brute_force(self):
         rng = random.Random(99)
