@@ -36,15 +36,15 @@ from .errors import (
 from .families import (
     FamilyQuery,
     Witness,
-    _bb_checks,
+    _verify_fields,
     enumerate_family,
     member,
     membership,
     preferred_witness,
     witness_chain,
 )
-from .hilbert import bb_pair_with_H, hilbert_class
-from .lattice import divisor, dot_H, make_lattice
+from .hilbert import exceptional_coefficient
+from .lattice import divisor, make_lattice
 from .pell import fundamental_unit, solve_bounded
 from . import selfcheck
 
@@ -65,7 +65,6 @@ def _query_from_args(args, sign: int) -> FamilyQuery:
 def witness_dict(w: Witness, query: FamilyQuery) -> dict:
     """Flat, JSON-ready view of a witness with every compared integer."""
     rep = w.report
-    h1 = hilbert_class(w.F, query.length)
     return {
         "d": w.d,
         "mu": w.mu,
@@ -75,10 +74,11 @@ def witness_dict(w: Witness, query: FamilyQuery) -> dict:
         "D": {"x": w.D.x, "y": w.D.y},
         "F": {"x": w.F.x, "y": w.F.y},
         "F2": rep["f_square"].actual,
-        "FdotH": dot_H(w.F),
+        "FdotH": w.F.x,
         "DdotH": rep["dh_threshold"].actual,
         "pell_residual": rep["pell_residual"].actual,
-        "bb": {"eps": h1.eps, "q": rep["bb_square"].actual, "b": bb_pair_with_H(h1)},
+        "bb": {"eps": exceptional_coefficient(query.length), "q": rep["bb_square"].actual,
+               "b": w.F.x},
         "checks": rep.flags(),
         "seed": {"x": w.seed[0], "y": w.seed[1]},
         "x_threshold": w.x_threshold,
@@ -169,13 +169,24 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
         sys.stdout.write(data)
 
 
-def _render(args, witnesses: list[Witness], sign_word: str, lattice=None) -> None:
+def _render(args, witnesses: list[Witness], sign_word: str, lattice=None, notes=()) -> int:
+    """Return 1 if a witness failed a core check, with only that failure on stderr.
+
+    Otherwise write the notes to stderr and the witnesses out, and return 0.
+    """
+    for w in witnesses:
+        if not w.report.core_passed:
+            print(f"internal check failure at d={w.d}: {w.report.failed}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+    for line in notes:
+        print(line, file=sys.stderr)
     rows = _csv_rows if args.fmt == "csv" else _table
     _emit(
         args,
         lambda: _document(args, sign_word, witnesses, lattice),
         lambda: rows(args, witnesses),
     )
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
@@ -192,12 +203,7 @@ def cmd_enumerate(args) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     witnesses.sort(key=lambda w: (w.d, 0 if w.sign == 1 else 1, w.mu))
-    for w in witnesses:
-        if not w.report.core_passed:
-            print(f"internal check failure at d={w.d}: {w.report.failed}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-    _render(args, witnesses, args.sign)
-    return EXIT_OK
+    return _render(args, witnesses, args.sign)
 
 
 def cmd_member(args) -> int:
@@ -211,18 +217,16 @@ def cmd_member(args) -> int:
     except (NoValidMu, DegenerateQuery) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    for oc in outcomes:
-        state = "member" if oc.found else f"empty (period {oc.residue_period} scanned)"
-        print(f"mu={oc.mu}: {state}", file=sys.stderr)
+    notes = [
+        f"mu={oc.mu}: " + ("member" if oc.found else f"empty (period {oc.residue_period} scanned)")
+        for oc in outcomes
+    ]
     chosen = preferred_witness(outcomes)
     if chosen is None:
-        print(f"d={args.d} is not a member for any admissible mu", file=sys.stderr)
+        notes.append(f"d={args.d} is not a member for any admissible mu")
+        print(*notes, sep="\n", file=sys.stderr)
         return EXIT_REJECTED
-    if not chosen.report.core_passed:
-        print(f"internal check failure: {chosen.report.failed}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    _render(args, [chosen], args.sign, lattice={"d": chosen.d, "mu": chosen.mu})
-    return EXIT_OK
+    return _render(args, [chosen], args.sign, {"d": chosen.d, "mu": chosen.mu}, notes)
 
 
 def cmd_witness(args) -> int:
@@ -243,17 +247,12 @@ def cmd_witness(args) -> int:
     except (NoValidMu, DegenerateQuery, ThresholdUnreachable) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    for w in chain:
-        if not w.report.core_passed:
-            print(f"internal check failure: {w.report.failed}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        print(
-            f"seed (x0,y0)={w.seed} -> witness (x,y)=({w.x},{w.y}) "
-            f"threshold {w.x_threshold} reachable={w.threshold_reachable}",
-            file=sys.stderr,
-        )
-    _render(args, chain, args.sign, lattice={"d": chain[0].d, "mu": chain[0].mu})
-    return EXIT_OK
+    notes = (
+        f"seed (x0,y0)={w.seed} -> witness (x,y)=({w.x},{w.y}) "
+        f"threshold {w.x_threshold} reachable={w.threshold_reachable}"
+        for w in chain
+    )
+    return _render(args, chain, args.sign, {"d": chain[0].d, "mu": chain[0].mu}, notes)
 
 
 def cmd_pell(args) -> int:
@@ -289,16 +288,17 @@ def cmd_hilbert(args) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     F = cfg.H + q.twist_rank * D
-    h1 = hilbert_class(F, q.length)
-    q_check, b_check = _bb_checks(q, cfg, F, args.y)
+    # the threshold is arbitrary: its check is not printed
+    rep = _verify_fields(q, cfg, D, F, 0, True)
+    q_check, b_check = rep["bb_square"], rep["bb_pairing"]
     ok = q_check.passed and b_check.passed
     doc = {
         "F": {"x": F.x, "y": F.y},
-        "n": h1.n,
-        "eps": h1.eps,
+        "n": q.length,
+        "eps": exceptional_coefficient(q.length),
         "q": q_check.actual,
         "q_target": q_check.expected,
-        "b_with_H": bb_pair_with_H(h1),
+        "b_with_H": F.x,
         "b_residue": b_check.actual,
         "corollary_ok": ok,
     }

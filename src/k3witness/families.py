@@ -8,8 +8,10 @@ D = (x*H + y*G)/(2g-2) into (r, H + r*D, sign*1) exactly when (x, y) solves
 with x = mu*y (mod 2g-2).  The family of a query is the set of non-square d
 for which such a solution with y != 0 exists for some admissible mu; the
 swapped ("tilde") family exchanges the roles of r and s.  A successful
-membership test returns a Witness carrying the solution, the divisors
-D and F = H + r*D, and a report re-verifying every identity:
+membership test returns a Witness carrying the divisors D and F = H + r*D
+(the solution (x, y) is read off D) and a report re-verifying every
+identity.  ``_verify_fields`` is the one checker; ``verify_witness``, the
+CLI renderers and the ``hilbert`` command all take their values from it:
 
   (a) the Pell residual vanishes,
   (b) x = mu*y (mod 2g-2),
@@ -18,7 +20,9 @@ D and F = H + r*D, and a report re-verifying every identity:
   (e) D.H lies below the negativity threshold,
   (f) the twist by D really maps (r, H, s) to (r, F, sign*1),
   (g) (r, H, s) is primitive,
-  plus the degree-2 checks q(h1) = sign*2r and b(h1, H) = F.H mod 2g-2.
+  plus the degree-2 checks on h1 = F + eps*f over the Hilbert scheme of
+  n = g - r*s points: q(h1) = F^2 - 2(n-1)*eps^2 = sign*2r, reusing F^2
+  from (c), and b(h1, H) = F.H = r*mu*y mod 2g-2, reusing the residue of (d).
 
 Check (e) is special: for some queries every constrained solution class has
 u > 0 and D.H is bounded below, so the threshold is provably unreachable.
@@ -40,7 +44,7 @@ from .errors import (
     SquareDiscriminant,
     ThresholdUnreachable,
 )
-from .hilbert import bb_pair_with_H, bb_square, hilbert_class
+from .hilbert import exceptional_coefficient
 from .lattice import (
     Divisor,
     LatticeConfig,
@@ -143,14 +147,20 @@ class Witness:
     d: int
     mu: int
     sign: int
-    x: int
-    y: int
     D: Divisor
     F: Divisor
     seed: tuple[int, int]
     x_threshold: int
     threshold_reachable: bool
     report: VerificationReport
+
+    @property
+    def x(self) -> int:
+        return self.D.x
+
+    @property
+    def y(self) -> int:
+        return self.D.y
 
 
 @dataclass(frozen=True)
@@ -190,16 +200,16 @@ def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
 def _verify_fields(
     query: FamilyQuery,
     cfg: LatticeConfig,
-    x: int,
-    y: int,
     D: Divisor,
     F: Divisor,
     x_threshold: int,
     threshold_reachable: bool,
 ) -> VerificationReport:
+    """The one witness checker: every identity of (D, F), each computed once."""
     rr, ss = query.twist_rank, query.other_rank
     h2 = cfg.h_square
     sign = query.sign
+    x, y = D.x, D.y
     checks: list[CheckOutcome] = []
 
     u = rr * x + h2
@@ -214,55 +224,35 @@ def _verify_fields(
     f_sq_target = h2 + rr * (2 * sign - 2 * ss)
     checks.append(CheckOutcome("f_square", f_sq == f_sq_target, f_sq_target, f_sq))
 
-    f_dot_h = dot_H(F)
-    f_res = (f_dot_h - rr * cfg.mu * y) % h2
+    # F.H = r*mu*y mod 2g-2, which is also b(h1, H) since f is orthogonal to H
+    f_res = (dot_H(F) - rr * cfg.mu * y) % h2
     checks.append(CheckOutcome("f_dot_h", f_res == 0, 0, f_res))
 
-    d_dot_h = dot_H(D)
+    dh = dot_H(D)
     note = "" if threshold_reachable else "threshold certified unreachable"
-    checks.append(
-        CheckOutcome(
-            THRESHOLD_CHECK, d_dot_h <= x_threshold, x_threshold, d_dot_h, note=note
-        )
-    )
+    checks.append(CheckOutcome(THRESHOLD_CHECK, dh <= x_threshold, x_threshold, dh, note))
 
     v = MukaiVector(rr, cfg.H, ss)
     tv = tensorize(v, D)
     tensor_ok = tv.r0 == rr and tv.c1 == F and tv.s0 == sign
-    checks.append(
-        CheckOutcome(
-            "tensor_type",
-            tensor_ok,
-            (rr, (F.x, F.y), sign),
-            (tv.r0, (tv.c1.x, tv.c1.y), tv.s0),
-        )
-    )
+    expected, actual = (rr, (F.x, F.y), sign), (tv.r0, (tv.c1.x, tv.c1.y), tv.s0)
+    checks.append(CheckOutcome("tensor_type", tensor_ok, expected, actual))
 
-    checks.append(CheckOutcome("primitive_vector", is_primitive(v), True, is_primitive(v)))
+    primitive = is_primitive(v)
+    checks.append(CheckOutcome("primitive_vector", primitive, True, primitive))
 
-    checks.extend(_bb_checks(query, cfg, F, y))
+    eps = exceptional_coefficient(query.length)
+    q_val = f_sq - 2 * (query.length - 1) * eps * eps
+    q_target = sign * 2 * rr
+    checks.append(CheckOutcome("bb_square", q_val == q_target, q_target, q_val))
+    checks.append(CheckOutcome("bb_pairing", f_res == 0, 0, f_res))
     return VerificationReport(tuple(checks))
-
-
-def _bb_checks(
-    query: FamilyQuery, cfg: LatticeConfig, F: Divisor, y: int
-) -> tuple[CheckOutcome, CheckOutcome]:
-    """The degree-2 checks on h1 = F + eps*f: q(h1) = sign*2r, b(h1, H) = r*mu*y mod 2g-2."""
-    rr = query.twist_rank
-    h1 = hilbert_class(F, query.length)
-    q_val = bb_square(h1)
-    q_target = query.sign * 2 * rr
-    b_res = (bb_pair_with_H(h1) - rr * cfg.mu * y) % cfg.h_square
-    return (
-        CheckOutcome("bb_square", q_val == q_target, q_target, q_val),
-        CheckOutcome("bb_pairing", b_res == 0, 0, b_res),
-    )
 
 
 def verify_witness(w: Witness, query: FamilyQuery) -> VerificationReport:
     """Recompute every identity of the witness from scratch."""
     cfg = make_lattice(query.g, w.d, w.mu)
-    return _verify_fields(query, cfg, w.x, w.y, w.D, w.F, w.x_threshold, w.threshold_reachable)
+    return _verify_fields(query, cfg, w.D, w.F, w.x_threshold, w.threshold_reachable)
 
 
 def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
@@ -280,16 +270,13 @@ def _build_witness(
     x_threshold: int,
     reachable: bool,
 ) -> Witness:
-    x, y = problem.decode(sol)
-    D = divisor(cfg, x, y)
+    D = divisor(cfg, *problem.decode(sol))
     F = cfg.H + query.twist_rank * D
-    report = _verify_fields(query, cfg, x, y, D, F, x_threshold, reachable)
+    report = _verify_fields(query, cfg, D, F, x_threshold, reachable)
     return Witness(
         d=cfg.d,
         mu=cfg.mu,
         sign=query.sign,
-        x=x,
-        y=y,
         D=D,
         F=F,
         seed=problem.decode(seed),

@@ -9,7 +9,7 @@ raises; the tests call the same suites with seeds and counts of their own.
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt, log
+from math import gcd, isqrt, log2
 
 from .families import FamilyQuery, enumerate_direct, enumerate_family
 from .hilbert import bb_square, hilbert_class
@@ -39,12 +39,27 @@ def _random_divisor(rng: random.Random, cfg, span: int = 30):
     return divisor(cfg, cfg.mu * y + k * cfg.h_square, y)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, exactly: Newton's method from a float seed."""
+    def newton(x: int) -> int:
+        return ((k - 1) * x + n // x ** (k - 1)) // k
+
+    lg = log2(n) / k
+    shift = max(0, int(lg) - 52)
+    # one step from any x > 0 lands at or above the root; from there x falls to it
+    x = newton(max(1, int(2 ** (lg - shift)) << shift))
+    while (y := newton(x)) < x:
+        x = y
+    return x
+
+
 def verify_unit_minimal(d: int, u0: int, w0: int) -> bool:
     """Independent minimality oracle for a claimed fundamental unit.
 
-    Below the cap, enumerate every smaller w directly.  Above it, use the
-    group structure: a smaller solution would make (u0, w0) a perfect k-th
-    power in Z[sqrt(d)], located by floating point and verified exactly.
+    Below the cap, enumerate every smaller w directly.  Above it, a smaller
+    solution would make (u0, w0) = eta^k for a norm-1 unit eta = a + b*sqrt(d)
+    and a prime k.  Then (2a - 1)^k < 2*u0 = eta^k + eta^-k < (2a)^k, so the
+    exact k-th root of 2*u0 gives a, and eta > max(2, sqrt(d)) bounds k.
     """
     if u0 * u0 - d * w0 * w0 != 1 or w0 < 1:
         return False
@@ -55,19 +70,15 @@ def verify_unit_minimal(d: int, u0: int, w0: int) -> bool:
             if r * r == t:
                 return False
         return True
-    value = u0 + w0 * (d**0.5)
-    k_max = int(log(value) / log(3.0)) + 1
+    two_u, claimed = 2 * u0, FundamentalUnit(d, u0, w0)
+    k_max = two_u.bit_length() // max(1, (d.bit_length() - 1) // 2)
     for k in range(2, k_max + 1):
-        root = value ** (1.0 / k)
-        y_est = int(root / (2 * d**0.5) * (1 - root ** (-2.0)))
-        for y in range(max(1, y_est - 2), y_est + 3):
-            t = 1 + d * y * y
-            x = isqrt(t)
-            if x * x != t:
-                continue
-            powered = unit_power(FundamentalUnit(d, x, y), k)
-            if (powered.u0, powered.w0) == (u0, w0):
-                return False
+        if any(k % p == 0 for p in range(2, isqrt(k) + 1)):
+            continue  # a k-th power with k composite is a p-th power, p | k prime
+        a = (_iroot(two_u, k) + 1) // 2
+        b = isqrt((a * a - 1) // d)
+        if a * a - d * b * b == 1 and unit_power(FundamentalUnit(d, a, b), k) == claimed:
+            return False
     return True
 
 

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 import k3witness.cli
+import k3witness.families
 import k3witness.selfcheck
 from k3witness.cli import main
 from k3witness.errors import NotInLattice, NoValidMu
-from k3witness.families import FamilyQuery, _verify_fields
+from k3witness.families import FamilyQuery, _verify_fields, member
 from k3witness.lattice import divisor, make_lattice
 
 
@@ -87,10 +88,9 @@ def test_json_roundtrip_reverifies(tmp_path):
         cfg = make_lattice(q.g, wd["d"], wd["mu"])
         D = divisor(cfg, wd["D"]["x"], wd["D"]["y"])
         F = divisor(cfg, wd["F"]["x"], wd["F"]["y"])
-        rep = _verify_fields(
-            q, cfg, wd["x"], wd["y"], D, F, wd["x_threshold"], wd["threshold_reachable"]
-        )
+        rep = _verify_fields(q, cfg, D, F, wd["x_threshold"], wd["threshold_reachable"])
         assert rep.flags() == wd["checks"]
+        assert (wd["x"], wd["y"]) == (D.x, D.y)
         h2 = 2 * q.g - 2
         f2 = (wd["F"]["x"] ** 2 - wd["d"] * wd["F"]["y"] ** 2) // h2
         eps = wd["bb"]["eps"]
@@ -237,6 +237,21 @@ def test_hilbert_command(capsys):
     assert rc == 0
     doc = json.loads(captured.out)
     assert doc["q"] == 4 and doc["eps"] == 0 and doc["corollary_ok"]
+    # the same values as the witness report at these (mu, x, y)
+    w = member(FamilyQuery(5, 2, 2, 1), 17)
+    assert (w.mu, w.x, w.y) == (1, -9, -1)
+    assert (doc["q"], doc["b_residue"]) == (
+        w.report["bb_square"].actual, w.report["bb_pairing"].actual
+    )
+
+
+def test_hilbert_failed_corollary_exits_one(capsys):
+    rc = run_cli("hilbert", "--g", "4", "--r", "1", "--s", "3", "--sign", "plus",
+                 "--d", "13", "--mu", "1", "--x", "-5", "--y", "1", "--format", "json")
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert (doc["q"], doc["q_target"], doc["b_residue"]) == (-2, 2, 0)
+    assert doc["corollary_ok"] is False
 
 
 def test_hilbert_bad_divisor_rejected(capsys):
@@ -323,6 +338,26 @@ def test_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--g", "5", "--r", "2", "--s", "2", "--sign", "both", "--dmax", "60"),
+        ("member", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17"),
+        ("witness", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
+         "--count", "3"),
+    ],
+    ids=["enumerate", "member", "witness"],
+)
+def test_failed_core_check_exits_one(monkeypatch, capsys, argv):
+    # a witness whose report fails a core check is never rendered
+    monkeypatch.setattr(k3witness.families.VerificationReport, "core_passed", False)
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failure at d=17: ")
 
 
 def test_output_ignores_the_environment(monkeypatch, tmp_path, capsys):

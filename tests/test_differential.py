@@ -1,11 +1,12 @@
 """Differential tests against an independent solver, skipped without sympy.
 
 The membership decision is re-derived from scratch: sympy's generalized
-Pell solver supplies class representatives, the unit orbit is scanned over
-one full residue period, and the congruence x = mu*y (mod 2g-2) plus the
-divisibility by the rank are checked directly.  Any disagreement with
-``membership`` would expose a defect in either the class machinery or the
-period-based emptiness decision.
+Pell solver supplies the fundamental unit (checked against
+``fundamental_unit``) and the class representatives, the unit orbit is
+scanned over one full residue period, and the congruence x = mu*y
+(mod 2g-2) plus the divisibility by the rank are checked directly.  Any
+disagreement with ``membership`` would expose a defect in either the class
+machinery or the period-based emptiness decision.
 """
 
 import random
@@ -22,15 +23,21 @@ from k3witness.families import rhs_value  # noqa: E402
 from k3witness.lattice import is_perfect_square, unit_square_roots  # noqa: E402
 
 
+def sympy_unit(d):
+    """The fundamental solution of u^2 - d*w^2 = 1, from sympy."""
+    ((u0, w0),) = diop_DN(d, 1)
+    return int(u0), int(w0)
+
+
 def independent_membership(g, rr, mu, d, rhs):
     """Decide membership with sympy representatives and a residue-period scan."""
     if rhs == 0:
         return False
     h2 = 2 * g - 2
     reps = [(int(a), int(b)) for (a, b) in diop_DN(d, rhs)]
-    unit = fundamental_unit(d)
+    u0, w0 = sympy_unit(d)
     M = rr * h2
-    u0m, w0m, dm = unit.u0 % M, unit.w0 % M, d % M
+    u0m, w0m, dm = u0 % M, w0 % M, d % M
     # the period T: the order of the unit mod M (M >= 4), found by stepping
     T, a, b = 1, u0m, w0m
     while (a, b) != (1, 0):
@@ -71,6 +78,8 @@ def test_membership_agrees_with_independent_decision():
             if not is_perfect_square(d):
                 assert not unit_square_roots(g, d)
             continue
+        unit = fundamental_unit(d)
+        assert (unit.u0, unit.w0) == sympy_unit(d), d
         rhs = rhs_value(q)
         for oc in outcomes:
             expected = independent_membership(g, q.twist_rank, oc.mu, d, rhs)

@@ -8,8 +8,10 @@ from k3witness import (
     FamilyQuery,
     NegativeDimension,
     NoValidMu,
+    NotInLattice,
     SquareDiscriminant,
     ThresholdUnreachable,
+    divisor,
     dot_H,
     enumerate_direct,
     enumerate_family,
@@ -88,11 +90,11 @@ class TestVerifyWitness:
     def test_tampered_y_detected(self):
         q = q522(1)
         w = member(q, 17)
-        bad = dataclasses.replace(w, y=w.y + 1)
-        rep = verify_witness(bad, q)
-        failed = set(rep.failed)
-        assert "pell_residual" in failed
-        assert "mu_congruence" in failed
+        bad = dataclasses.replace(w, D=w.D + w.D.config.H)
+        assert "pell_residual" in verify_witness(bad, q).failed
+        # a Witness carries (x, y) only through D, which stays on the lattice
+        with pytest.raises(NotInLattice):
+            divisor(w.D.config, w.x, w.y + 1)
 
     def test_report_carries_compared_integers(self):
         q = q522(-1)

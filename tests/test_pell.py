@@ -97,7 +97,8 @@ class TestFundamentalUnit:
                 assert (unit.u0, unit.w0) == (t * t + d * v * v, 2 * t * v), d
 
     def test_minimality_oracle_rejects_powers(self):
-        for d in (2, 17, 61):
+        # 10000141: a 16,312-bit unit, past the range of a float
+        for d in (2, 17, 61, 10000141):
             u = fundamental_unit(d)
             sq = unit_power(u, 2)
             assert verify_unit_minimal(d, u.u0, u.w0)
