@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -413,3 +414,41 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+_CHAIN_ARGV = ("witness", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
+               "--count", "200")
+_EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_CHAIN_ERR_SHA = "7fc770cbb2fb9f98a4b89cb3b194e5ecd3cab2a1f9a5920c578e1ebbed06c284"
+
+
+@pytest.mark.parametrize(
+    "argv, out_sha, err_sha",
+    [
+        (_CHAIN_ARGV + ("--format", "json"),
+         "2bec296a4bb218b0c691fe9feedc8b2419d31ffe0bd82fc81e7860b13a6e02d3", _CHAIN_ERR_SHA),
+        (_CHAIN_ARGV + ("--format", "csv"),
+         "ea1188fef8da32f079889735ebe571f4372596bcdf95a5b7759faa24c1b8f5e1", _CHAIN_ERR_SHA),
+        (_CHAIN_ARGV + ("--format", "table"),
+         "6a7b47d979e2eeef23379c09a837e5322dacedc35f3ae52d9dc4068ad9b8adc7", _CHAIN_ERR_SHA),
+        (("member", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
+          "--format", "json"),
+         "86c8ae503b495dc6f9ade7155fe0be1858b64ebf16af78706d3719023cd5908b",
+         "2a14f1375ff1347b17364367e55f9930f72aca67e9336cc10ab1a237ab958fb6"),
+        (("enumerate", "--g", "5", "--r", "2", "--s", "2", "--sign", "both", "--dmax", "60",
+          "--format", "json", "--tilde"),
+         "ffd14896788eae31f8a30e7dc5cfbf9cdd4f440d3c97357f1fdc93f0128427db", _EMPTY_SHA),
+        (("pell", "--d", "991", "--n", "1", "--format", "json"),
+         "e9e4303081d344e92a5ccd59b290c7171ad52cbd75a8dbb97891dd119db4ea2c", _EMPTY_SHA),
+        (_HILBERT_ARGV + ("--format", "json"),
+         "8db4a0fa961479ee28e224f6cc048dfa74044c4aad90d31cebe1d7f7f8ccece2", _EMPTY_SHA),
+    ],
+    ids=["chain-json", "chain-csv", "chain-table", "member-json", "enumerate-tilde-json",
+         "pell-json", "hilbert-json"],
+)
+def test_rendered_output_pinned(capsys, argv, out_sha, err_sha):
+    # the chain's x passes 700 digits; every byte of both streams is pinned
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
