@@ -15,15 +15,20 @@ d, no admissible mu, non-member).
 
 Every setting comes from a flag; neither the environment nor any file is
 read, so the output depends on the argument list alone.
+
+JSON comes from a small private writer with the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``.  Each response converts each
+distinct integer to decimal once: the stderr notes and every format read
+one digit memo.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
-from typing import Callable, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     DegenerateQuery,
@@ -36,6 +41,7 @@ from .errors import (
 from .families import (
     FamilyQuery,
     Witness,
+    _require_length,
     _verify_fields,
     enumerate_family,
     member,
@@ -123,7 +129,7 @@ _CSV_FIELDS = [
 ]
 
 
-def _csv_rows(args, witnesses: list[Witness]) -> str:
+def _csv_rows(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
     lines = [",".join(_CSV_FIELDS)]
     for w in witnesses:
         d = witness_dict(w, _query_from_args(args, w.sign))
@@ -135,11 +141,12 @@ def _csv_rows(args, witnesses: list[Witness]) -> str:
             d["x_threshold"], d["threshold_reachable"],
             all(d["checks"].values()),
         ]
-        lines.append(",".join(str(v) for v in row))
+        # bools before the memo: True == 1 as a dict key
+        lines.append(",".join(str(v) if isinstance(v, (bool, str)) else digits[v] for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _table(args, witnesses: list[Witness]) -> str:
+def _table(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
     header = f"{'d':>6} {'mu':>4} {'sign':>5} {'x':>12} {'y':>10} {'F^2':>6} {'F.H':>12} {'D.H':>12} {'q':>6}  checks"
     lines = [header, "-" * len(header)]
     for w in witnesses:
@@ -148,20 +155,80 @@ def _table(args, witnesses: list[Witness]) -> str:
             k for k, v in d["checks"].items() if not v
         )
         lines.append(
-            f"{d['d']:>6} {d['mu']:>4} {d['sign']:>5} {_trim(d['x']):>12} {_trim(d['y']):>10} "
-            f"{d['F2']:>6} {_trim(d['FdotH']):>12} {_trim(d['DdotH']):>12} {d['bb']['q']:>6}  {ok}"
+            f"{digits[d['d']]:>6} {digits[d['mu']]:>4} {d['sign']:>5} "
+            f"{_trim(digits[d['x']]):>12} {_trim(digits[d['y']]):>10} {digits[d['F2']]:>6} "
+            f"{_trim(digits[d['FdotH']]):>12} {_trim(digits[d['DdotH']]):>12} "
+            f"{digits[d['bb']['q']]:>6}  {ok}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _trim(n: int) -> str:
-    s = str(n)
+def _trim(s: str) -> str:
     return s if len(s) <= 12 else s[:4] + ".." + s[-4:] + f"({len(s)}d)"
 
 
-def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
+class _Digits(dict):
+    """Digit memo of one response: int -> decimal string, each converted once."""
+
+    def __missing__(self, n: int) -> str:
+        # int.__repr__ is what json.dumps writes; it gives "1" for True as well
+        s = self[n] = int.__repr__(n)
+        return s
+
+
+def _json(obj, digits: dict[int, str]) -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True), ints read from digits.
+
+    obj is built of dicts with str keys, lists, str, int, bool and None.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def write(o, indent: str) -> None:
+        if o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(digits[o])
+        elif isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(o):
+                put(sep)
+                put(encode_basestring_ascii(key))
+                put(": ")
+                write(o[key], inner)
+                sep = ",\n" + inner
+            put("\n" + indent + "}")
+        elif isinstance(o, list):
+            if not o:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in o:
+                put(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            put("\n" + indent + "]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(parts)
+
+
+def _emit(args, doc: Callable[[], dict], text: Callable[[], str], digits: dict[int, str]) -> None:
     """Write doc() as JSON under --format json, else text(), to --out or stdout."""
-    data = json.dumps(doc(), indent=2, sort_keys=True) + "\n" if args.fmt == "json" else text()
+    data = _json(doc(), digits) + "\n" if args.fmt == "json" else text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(data)
@@ -169,22 +236,31 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> None:
         sys.stdout.write(data)
 
 
-def _render(args, witnesses: list[Witness], sign_word: str, lattice=None, notes=()) -> int:
+def _render(
+    args,
+    witnesses: list[Witness],
+    sign_word: str,
+    lattice=None,
+    notes: Callable[[dict[int, str]], Iterable[str]] = lambda digits: (),
+) -> int:
     """Return 1 if a witness failed a core check, with only that failure on stderr.
 
-    Otherwise write the notes to stderr and the witnesses out, and return 0.
+    Otherwise write notes(digits) to stderr and the witnesses out, and return
+    0. The notes and every format read their decimal strings from one memo.
     """
     for w in witnesses:
         if not w.report.core_passed:
             print(f"internal check failure at d={w.d}: {w.report.failed}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-    for line in notes:
+    digits = _Digits()
+    for line in notes(digits):
         print(line, file=sys.stderr)
     rows = _csv_rows if args.fmt == "csv" else _table
     _emit(
         args,
         lambda: _document(args, sign_word, witnesses, lattice),
-        lambda: rows(args, witnesses),
+        lambda: rows(args, witnesses, digits),
+        digits,
     )
     return EXIT_OK
 
@@ -226,7 +302,8 @@ def cmd_member(args) -> int:
         notes.append(f"d={args.d} is not a member for any admissible mu")
         print(*notes, sep="\n", file=sys.stderr)
         return EXIT_REJECTED
-    return _render(args, [chosen], args.sign, {"d": chosen.d, "mu": chosen.mu}, notes)
+    lattice = {"d": chosen.d, "mu": chosen.mu}
+    return _render(args, [chosen], args.sign, lattice, lambda digits: notes)
 
 
 def cmd_witness(args) -> int:
@@ -247,11 +324,15 @@ def cmd_witness(args) -> int:
     except (NoValidMu, DegenerateQuery, ThresholdUnreachable) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    notes = (
-        f"seed (x0,y0)={w.seed} -> witness (x,y)=({w.x},{w.y}) "
-        f"threshold {w.x_threshold} reachable={w.threshold_reachable}"
-        for w in chain
-    )
+
+    def notes(digits: dict[int, str]) -> Iterable[str]:
+        for w in chain:
+            yield (
+                f"seed (x0,y0)=({digits[w.seed[0]]}, {digits[w.seed[1]]}) -> "
+                f"witness (x,y)=({digits[w.x]},{digits[w.y]}) "
+                f"threshold {w.x_threshold} reachable={w.threshold_reachable}"
+            )
+
     return _render(args, chain, args.sign, {"d": chain[0].d, "mu": chain[0].mu}, notes)
 
 
@@ -274,7 +355,7 @@ def cmd_pell(args) -> int:
     lines = [f"fundamental unit: ({unit.u0}, {unit.w0})"]
     lines.append(f"class representatives of u^2 - {args.d}w^2 = {args.n} (window):")
     lines.extend(f"  ({r.u}, {r.w})" for r in reps)
-    _emit(args, lambda: doc, lambda: "\n".join(lines) + "\n")
+    _emit(args, lambda: doc, lambda: "\n".join(lines) + "\n", _Digits())
     return EXIT_OK
 
 
@@ -282,6 +363,7 @@ def cmd_hilbert(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
     try:
+        _require_length(q)
         cfg = make_lattice(args.g, args.d, args.mu)
         D = divisor(cfg, args.x, args.y)
     except K3WitnessError as exc:
@@ -302,7 +384,8 @@ def cmd_hilbert(args) -> int:
         "b_residue": b_check.actual,
         "corollary_ok": ok,
     }
-    _emit(args, lambda: doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n")
+    _emit(args, lambda: doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n",
+          _Digits())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -105,6 +105,12 @@ class FamilyQuery:
         return self.g - self.r * self.s
 
 
+def _require_length(query: FamilyQuery) -> None:
+    """Refuse g = r*s, where the Hilbert scheme S^[g-rs] has length 0."""
+    if query.length == 0:
+        raise DegenerateQuery(f"g={query.g} equals r*s: the Hilbert scheme has length 0")
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     name: str
@@ -297,10 +303,7 @@ def membership(
     Raises ``SquareDiscriminant`` for square d, ``NoValidMu`` when d has no
     unit square root mod 4(g-1), and ``DegenerateQuery`` for g = r*s.
     """
-    if query.g == query.r * query.s:
-        raise DegenerateQuery(
-            f"g={query.g} equals r*s: the Hilbert scheme has length 0"
-        )
+    _require_length(query)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if is_perfect_square(d):
@@ -374,10 +377,7 @@ def enumerate_family(
     """All family members d <= d_max, ascending, each with its witness."""
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    if query.g == query.r * query.s:
-        raise DegenerateQuery(
-            f"g={query.g} equals r*s: the Hilbert scheme has length 0"
-        )
+    _require_length(query)
     out: list[Witness] = []
     for d in range(2, d_max + 1):
         if is_perfect_square(d) or not unit_square_roots(query.g, d):

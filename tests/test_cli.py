@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import k3witness.cli
 import k3witness.families
@@ -261,6 +262,17 @@ def test_hilbert_bad_divisor_rejected(capsys):
     assert rc == 3
 
 
+def test_hilbert_degenerate_query_rejected(capsys):
+    # g = r*s leaves a length-0 Hilbert scheme: a valid rejection, as for member
+    argv = ("--g", "4", "--r", "2", "--s", "2", "--sign", "plus", "--d", "13")
+    assert run_cli("hilbert", *argv, "--mu", "1", "--x", "1", "--y", "1") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rejected: g=4 equals r*s: the Hilbert scheme has length 0\n"
+    assert run_cli("member", *argv) == 3
+    assert capsys.readouterr().err == captured.err
+
+
 def test_selfcheck_passes(capsys):
     rc = run_cli("selfcheck", "--iterations", "25")
     out = capsys.readouterr().out
@@ -452,3 +464,46 @@ def test_rendered_output_pinned(capsys, argv, out_sha, err_sha):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
+
+
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\u20ac\U0001f600'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _TEXT | st.text()
+    | st.integers(-5, 5) | st.integers(-10**2000, 10**2000),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}]})
+def test_json_writer_matches_json_dumps(obj):
+    digits = k3witness.cli._Digits()
+    assert k3witness.cli._json(obj, digits) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_keeps_bools_apart_from_ints(capsys):
+    # True == 1 and False == 0 as dict keys: a shared memo must not mix them up
+    doc = {"a": [1, True, 0, False], "b": [True, 1, False, 0], "c": {"t": True, "one": 1}}
+    digits = k3witness.cli._Digits()
+    for _ in range(2):
+        assert k3witness.cli._json(doc, digits) == json.dumps(doc, indent=2, sort_keys=True)
+    assert digits == {0: "0", 1: "1"}
+
+    # a flagged witness: mu = 1 and eps = 0 next to False and True checks
+    flagged = ("witness", "--g", "4", "--r", "3", "--s", "1", "--d", "13", "--sign", "plus")
+    assert run_cli(*flagged, "--format", "json") == 0
+    w = json.loads(capsys.readouterr().out)["witnesses"][0]
+    assert (w["mu"], w["bb"]["eps"], w["threshold_reachable"]) == (1, 0, False)
+    assert w["checks"]["f_square"] is True and w["checks"]["dh_threshold"] is False
+    assert run_cli(*flagged, "--format", "csv") == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert (row["mu"], row["bb_eps"], row["threshold_reachable"], row["checks_ok"]) == (
+        "1", "0", "False", "False")
+    assert run_cli("member", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
+                   "--format", "csv") == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert (row["mu"], row["bb_eps"], row["threshold_reachable"], row["checks_ok"]) == (
+        "1", "0", "True", "True")
