@@ -182,48 +182,47 @@ def _json(obj, digits: dict[int, str]) -> str:
     obj is built of dicts with str keys, lists, str, int, bool and None.
     """
     parts: list[str] = []
-    put = parts.append
-
-    def write(o, indent: str) -> None:
-        if o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(digits[o])
-        elif isinstance(o, str):
-            put(encode_basestring_ascii(o))
-        elif isinstance(o, dict):
-            if not o:
-                put("{}")
-                return
-            inner = indent + "  "
-            sep = "{\n" + inner
-            for key in sorted(o):
-                put(sep)
-                put(encode_basestring_ascii(key))
-                put(": ")
-                write(o[key], inner)
-                sep = ",\n" + inner
-            put("\n" + indent + "}")
-        elif isinstance(o, list):
-            if not o:
-                put("[]")
-                return
-            inner = indent + "  "
-            sep = "[\n" + inner
-            for item in o:
-                put(sep)
-                write(item, inner)
-                sep = ",\n" + inner
-            put("\n" + indent + "]")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    write(obj, "")
+    _write_json(obj, "", parts.append, digits)
     return "".join(parts)
+
+
+def _write_json(o, indent: str, put: Callable[[str], None], digits: dict[int, str]) -> None:
+    if o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(digits[o])
+    elif isinstance(o, str):
+        put(encode_basestring_ascii(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(o):
+            put(sep)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _write_json(o[key], inner, put, digits)
+            sep = ",\n" + inner
+        put("\n" + indent + "}")
+    elif isinstance(o, list):
+        if not o:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in o:
+            put(sep)
+            _write_json(item, inner, put, digits)
+            sep = ",\n" + inner
+        put("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit(args, doc: Callable[[], dict], text: Callable[[], str], digits: dict[int, str]) -> None:
