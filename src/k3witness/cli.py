@@ -141,7 +141,7 @@ def _csv_rows(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
             d["x_threshold"], d["threshold_reachable"],
             all(d["checks"].values()),
         ]
-        # bools before the memo: True == 1 as a dict key
+        # csv writes str(True) as "True"; the memo, keyed on value, would give "1"
         lines.append(",".join(str(v) if isinstance(v, (bool, str)) else digits[v] for v in row))
     return "\n".join(lines) + "\n"
 
