@@ -34,7 +34,7 @@ from .families import (
     verify_witness,
     witness_chain,
 )
-from .hilbert import HilbertClass, bb_pair_with_H, bb_square, hilbert_class
+from .hilbert import HilbertClass, bb_square, hilbert_class
 from .lattice import (
     Divisor,
     LatticeConfig,
@@ -48,11 +48,9 @@ from .lattice import (
 from .mukai import (
     MukaiVector,
     is_primitive,
-    mukai_square_target,
     pairing,
     reflect,
     tensorize,
-    type_vector,
 )
 from .pell import (
     FundamentalUnit,

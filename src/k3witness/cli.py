@@ -66,7 +66,9 @@ def _sign_word(sign: int) -> str:
 
 
 def _query_from_args(args, sign: int) -> FamilyQuery:
-    return FamilyQuery(args.g, args.r, args.s, sign, getattr(args, "tilde", False))
+    """The query of the flags; --tilde is the query with r and s swapped."""
+    r, s = (args.s, args.r) if args.tilde else (args.r, args.s)
+    return FamilyQuery(args.g, r, s, sign)
 
 
 def witness_dict(w: Witness, eps: int) -> dict:
@@ -100,7 +102,7 @@ def _document(args, sign_word: str, witnesses: list[Witness], lattice=None) -> d
             "r": args.r,
             "s": args.s,
             "sign": sign_word,
-            "tilde": bool(getattr(args, "tilde", False)),
+            "tilde": args.tilde,
         },
         "lattice": lattice,
         "witnesses": [witness_dict(w, eps) for w in witnesses],
@@ -167,7 +169,8 @@ def _table(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
 
 
 def _trim(s: str) -> str:
-    return s if len(s) <= 12 else s[:4] + ".." + s[-4:] + f"({len(s)}d)"
+    """Long decimals as head..tail(N digits); a minus sign is not a digit."""
+    return s if len(s) <= 12 else s[:4] + ".." + s[-4:] + f"({len(s.lstrip('-'))}d)"
 
 
 class _Digits(dict):
@@ -287,7 +290,8 @@ def cmd_member(args) -> int:
     q = _query_from_args(args, sign)
     outcomes = membership(q, args.d, x_threshold=args.x_threshold)
     notes = [
-        f"mu={oc.mu}: " + ("member" if oc.found else f"empty (period {oc.residue_period} scanned)")
+        f"mu={oc.mu}: "
+        + ("member" if oc.witness is not None else f"empty (period {oc.residue_period} scanned)")
         for oc in outcomes
     ]
     chosen = preferred_witness(outcomes)
@@ -343,7 +347,7 @@ def cmd_hilbert(args) -> int:
     except K3WitnessError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    F = cfg.H + q.twist_rank * D
+    F = cfg.H + q.r * D
     # the threshold is arbitrary: its check is not printed
     rep = _verify_fields(q, cfg, D, F, 0, True)
     q_check, b_check = rep["bb_square"], rep["bb_pairing"]

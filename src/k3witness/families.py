@@ -6,8 +6,9 @@ D = (x*H + y*G)/(2g-2) into (r, H + r*D, sign*1) exactly when (x, y) solves
     (r*x + 2(g-1))^2 - d*(r*y)^2 = 4(g-1)*(sign*r - r*s + g - 1)
 
 with x = mu*y (mod 2g-2).  The family of a query is the set of non-square d
-for which such a solution with y != 0 exists for some admissible mu; the
-swapped ("tilde") family exchanges the roles of r and s.  A successful
+for which such a solution with y != 0 exists for some admissible mu.  The
+swapped family, of (s, H, r), is the family of the query (g, s, r, sign):
+the swap (r, H, s) -> (s, H, r) is ``mukai.reflect``.  A successful
 membership test returns a Witness carrying the divisors D and F = H + r*D
 (the solution (x, y) is read off D) and a report re-verifying every
 identity.  ``_verify_fields`` is the one checker; ``verify_witness``, the
@@ -73,13 +74,12 @@ THRESHOLD_CHECK = "dh_threshold"
 
 @dataclass(frozen=True)
 class FamilyQuery:
-    """(g, r, s) with a sign choice; tilde swaps the roles of r and s."""
+    """(g, r, s) with a sign choice; the vector (r, H, s) is twisted."""
 
     g: int
     r: int
     s: int
     sign: int
-    tilde: bool = False
 
     def __post_init__(self):
         if self.g < 3:
@@ -90,15 +90,6 @@ class FamilyQuery:
             raise ValueError("sign must be +1 or -1")
         if self.g < self.r * self.s:
             raise NegativeDimension(f"g={self.g} < r*s={self.r * self.s}")
-
-    @property
-    def twist_rank(self) -> int:
-        """Rank of the vector being twisted: s for the swapped family."""
-        return self.s if self.tilde else self.r
-
-    @property
-    def other_rank(self) -> int:
-        return self.r if self.tilde else self.s
 
     @property
     def length(self) -> int:
@@ -174,32 +165,31 @@ class MuOutcome:
     """Per-mu membership result for one determinant."""
 
     mu: int
-    found: bool
     witness: Optional[Witness]
     residue_period: int
 
 
 def rhs_value(query: FamilyQuery) -> int:
-    """Right-hand side 4(g-1)*(sign*rank - rank*other + g - 1)."""
-    rr, ss = query.twist_rank, query.other_rank
-    return 4 * (query.g - 1) * (query.sign * rr - rr * ss + query.g - 1)
+    """Right-hand side 4(g-1)*(sign*r - r*s + g - 1)."""
+    r = query.r
+    return 4 * (query.g - 1) * (query.sign * r - r * query.s + query.g - 1)
 
 
 def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
     """The constrained Pell problem whose solutions are the family witnesses.
 
-    Substitution u = rank*x + 2(g-1), w = rank*y.  The congruences w = 0
-    (mod rank) and u - mu*w = 2(g-1) (mod rank*(2g-2)) imply u = 2(g-1)
-    (mod rank), so x, y are integers with x = mu*y mod 2g-2.
+    Substitution u = r*x + 2(g-1), w = r*y.  The congruences w = 0
+    (mod r) and u - mu*w = 2(g-1) (mod r*(2g-2)) imply u = 2(g-1)
+    (mod r), so x, y are integers with x = mu*y mod 2g-2.
     """
-    rr = query.twist_rank
+    r = query.r
     h2 = cfg.h_square
     cons = []
-    if rr > 1:
-        cons.append(LinearCongruence(0, 1, 0, rr))
-    cons.append(LinearCongruence(1, -cfg.mu, h2, rr * h2))
+    if r > 1:
+        cons.append(LinearCongruence(0, 1, 0, r))
+    cons.append(LinearCongruence(1, -cfg.mu, h2, r * h2))
     return PellProblem(
-        cfg.d, rhs_value(query), tuple(cons), u_shift=h2, scale=rr
+        cfg.d, rhs_value(query), tuple(cons), u_shift=h2, scale=r
     )
 
 
@@ -212,14 +202,14 @@ def _verify_fields(
     threshold_reachable: bool,
 ) -> VerificationReport:
     """The one witness checker: every identity of (D, F), each computed once."""
-    rr, ss = query.twist_rank, query.other_rank
+    r, s = query.r, query.s
     h2 = cfg.h_square
     sign = query.sign
     x, y = D.x, D.y
     checks: list[CheckOutcome] = []
 
-    u = rr * x + h2
-    w = rr * y
+    u = r * x + h2
+    w = r * y
     res = u * u - cfg.d * w * w - rhs_value(query)
     checks.append(CheckOutcome("pell_residual", res == 0, 0, res))
 
@@ -227,21 +217,21 @@ def _verify_fields(
     checks.append(CheckOutcome("mu_congruence", cong == 0, 0, cong))
 
     f_sq = inner(F, F)
-    f_sq_target = h2 + rr * (2 * sign - 2 * ss)
+    f_sq_target = h2 + r * (2 * sign - 2 * s)
     checks.append(CheckOutcome("f_square", f_sq == f_sq_target, f_sq_target, f_sq))
 
     # F.H = r*mu*y mod 2g-2, which is also b(h1, H) since f is orthogonal to H
-    f_res = (dot_H(F) - rr * cfg.mu * y) % h2
+    f_res = (dot_H(F) - r * cfg.mu * y) % h2
     checks.append(CheckOutcome("f_dot_h", f_res == 0, 0, f_res))
 
     dh = dot_H(D)
     note = "" if threshold_reachable else "threshold certified unreachable"
     checks.append(CheckOutcome(THRESHOLD_CHECK, dh <= x_threshold, x_threshold, dh, note))
 
-    v = MukaiVector(rr, cfg.H, ss)
+    v = MukaiVector(r, cfg.H, s)
     tv = tensorize(v, D)
-    tensor_ok = tv.r0 == rr and tv.c1 == F and tv.s0 == sign
-    expected, actual = (rr, (F.x, F.y), sign), (tv.r0, (tv.c1.x, tv.c1.y), tv.s0)
+    tensor_ok = tv.r0 == r and tv.c1 == F and tv.s0 == sign
+    expected, actual = (r, (F.x, F.y), sign), (tv.r0, (tv.c1.x, tv.c1.y), tv.s0)
     checks.append(CheckOutcome("tensor_type", tensor_ok, expected, actual))
 
     primitive = is_primitive(v)
@@ -249,7 +239,7 @@ def _verify_fields(
 
     eps = exceptional_coefficient(query.length)
     q_val = f_sq - 2 * (query.length - 1) * eps * eps
-    q_target = sign * 2 * rr
+    q_target = sign * 2 * r
     checks.append(CheckOutcome("bb_square", q_val == q_target, q_target, q_val))
     checks.append(CheckOutcome("bb_pairing", f_res == 0, 0, f_res))
     return VerificationReport(tuple(checks))
@@ -264,7 +254,7 @@ def verify_witness(w: Witness, query: FamilyQuery) -> VerificationReport:
 def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
     if x_threshold is not None:
         return x_threshold
-    return default_x_threshold(2 * query.g - 2, query.twist_rank)
+    return default_x_threshold(2 * query.g - 2, query.r)
 
 
 def _build_witness(
@@ -277,7 +267,7 @@ def _build_witness(
     reachable: bool,
 ) -> Witness:
     D = divisor(cfg, *problem.decode(sol))
-    F = cfg.H + query.twist_rank * D
+    F = cfg.H + query.r * D
     report = _verify_fields(query, cfg, D, F, x_threshold, reachable)
     return Witness(
         d=cfg.d,
@@ -317,13 +307,13 @@ def membership(
     for mu in mus:
         if rhs == 0:
             # u^2 = d*w^2 with w != 0 forces square d; empty for every mu
-            outcomes.append(MuOutcome(mu, False, None, 0))
+            outcomes.append(MuOutcome(mu, None, 0))
             continue
         cfg = make_lattice(query.g, d, mu)
         problem = pell_problem(cfg, query)
         hits = constrained_orbit_hits(problem)
         if not hits:
-            outcomes.append(MuOutcome(mu, False, None, residue_period(problem)))
+            outcomes.append(MuOutcome(mu, None, residue_period(problem)))
             continue
         step, period = block_unit(problem)
         reached: list[tuple[PellSolution, PellSolution]] = []
@@ -341,7 +331,7 @@ def membership(
         # none does, report the lowest orbit minimum
         sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
         witness = _build_witness(query, cfg, problem, sol, seed, thr, bool(reached))
-        outcomes.append(MuOutcome(mu, True, witness, period))
+        outcomes.append(MuOutcome(mu, witness, period))
     return outcomes
 
 
@@ -392,21 +382,21 @@ def enumerate_direct(query: FamilyQuery, xy_bound: int) -> set[int]:
     """Independent oracle: determinants from the defining formula directly.
 
     Scans |x|, |y| <= xy_bound, y != 0, computes
-    d = ((rank*x + 2(g-1))^2 - rhs) / (rank*y)^2 whenever the division is
+    d = ((r*x + 2(g-1))^2 - rhs) / (r*y)^2 whenever the division is
     exact, and keeps non-square d admitting a mu with the right congruence.
     """
     if xy_bound < 1:
         raise ValueError(f"xy_bound must be >= 1, got {xy_bound}")
-    rr = query.twist_rank
+    r = query.r
     h2 = 2 * query.g - 2
     rhs = rhs_value(query)
     out: set[int] = set()
     for y in range(-xy_bound, xy_bound + 1):
         if y == 0:
             continue
-        den = rr * rr * y * y
+        den = r * r * y * y
         for x in range(-xy_bound, xy_bound + 1):
-            t = rr * x + h2
+            t = r * x + h2
             num = t * t - rhs
             if num <= 0:
                 continue
@@ -462,8 +452,8 @@ def witness_chain(
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
     step, _ = block_unit(problem)
-    rr = query.twist_rank
-    start = problem.solution(rr * first.x + cfg.h_square, rr * first.y)
+    r = query.r
+    start = problem.solution(r * first.x + cfg.h_square, r * first.y)
     chain = [first]  # the walk's first block is the first witness
     for sol in islice(_descend(start, problem, step), 1, count):
         chain.append(_build_witness(query, cfg, problem, sol, sol, first.x_threshold, True))

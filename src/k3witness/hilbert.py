@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Divisor, dot_H, inner
+from .lattice import Divisor, inner
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,3 @@ def bb_square(h: HilbertClass) -> int:
     """q(F + eps*f) = F^2 - 2(n-1)*eps^2."""
     return inner(h.f_part, h.f_part) - 2 * (h.n - 1) * h.eps * h.eps
 
-
-def bb_pair_with_H(h: HilbertClass) -> int:
-    """b(F + eps*f, H) = F.H; f is orthogonal to the surface lattice."""
-    return dot_H(h.f_part)

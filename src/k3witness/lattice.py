@@ -41,14 +41,13 @@ def is_perfect_square(n: int) -> bool:
 class LatticeConfig:
     """The validated triple (g, d, mu) plus derived data.
 
-    ``square_disc`` records whether d is a perfect square: lattice arithmetic
-    stays valid, but every Pell-based search must reject such a configuration.
+    A perfect-square d is valid lattice data; the Pell-based searches in
+    ``families`` and ``pell`` reject it themselves.
     """
 
     g: int
     d: int
     mu: int
-    square_disc: bool
 
     @property
     def h_square(self) -> int:
@@ -65,16 +64,13 @@ class LatticeConfig:
     def H(self) -> "Divisor":
         return Divisor(self.h_square, 0, self)
 
-    def __repr__(self) -> str:  # keep Divisor reprs readable
-        return f"LatticeConfig(g={self.g}, d={self.d}, mu={self.mu})"
-
 
 def make_lattice(g: int, d: int, mu: int) -> LatticeConfig:
     """Validate and normalize (g, d, mu).
 
     mu is reduced to its least nonnegative residue mod 2g-2.  Raises
     ``NotAUnit`` if gcd(mu, 2g-2) > 1 and ``CongruenceFailure`` if
-    mu^2 != d mod 4(g-1).  A perfect-square d is accepted but flagged.
+    mu^2 != d mod 4(g-1).  A perfect-square d is accepted.
     """
     if g < 3:
         raise ValueError(f"genus must be >= 3, got {g}")
@@ -86,7 +82,7 @@ def make_lattice(g: int, d: int, mu: int) -> LatticeConfig:
         raise NotAUnit(f"mu={mu} is not a unit mod {h2}")
     if (mu * mu - d) % (2 * h2) != 0:
         raise CongruenceFailure(f"mu^2={mu * mu} is not {d} mod {2 * h2}")
-    return LatticeConfig(g, d, mu, is_perfect_square(d))
+    return LatticeConfig(g, d, mu)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import K3WitnessError, MixedLattices, NegativeDimension
+from .errors import K3WitnessError, MixedLattices
 from .lattice import Divisor, inner
 
 
@@ -68,35 +68,10 @@ def is_primitive(v: MukaiVector) -> bool:
     return gcd(gcd(v.r0, v.s0), gcd(alpha, v.c1.y)) == 1
 
 
-@dataclass(frozen=True)
-class ModuliShape:
-    """Numerical shape of the moduli problem for v = (r, H, s)."""
-
-    mukai_square: int  # 2(g - 1 - rs)
-    dimension: int  # mukai_square + 2
-    hilbert_length: int  # g - rs
-
-
-def mukai_square_target(g: int, r: int, s: int) -> ModuliShape:
-    """Square, dimension and Hilbert length for (r, H, s) on a genus-g surface."""
-    if g < r * s:
-        raise NegativeDimension(f"g={g} < r*s={r * s}")
-    sq = 2 * (g - 1 - r * s)
-    return ModuliShape(sq, sq + 2, g - r * s)
-
-
-def type_vector(cfg, r: int, s: int) -> MukaiVector:
-    """The vector (r, H, s) over the given lattice."""
-    return MukaiVector(r, cfg.H, s)
-
-
 __all__ = [
-    "ModuliShape",
     "MukaiVector",
     "is_primitive",
-    "mukai_square_target",
     "pairing",
     "reflect",
     "tensorize",
-    "type_vector",
 ]

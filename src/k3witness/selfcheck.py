@@ -181,8 +181,7 @@ def _suite_bounded(rng: random.Random, iterations: int):
 def _suite_families(xy_bound: int):
     qp = FamilyQuery(5, 2, 2, 1)
     qm = FamilyQuery(5, 2, 2, -1)
-    plus = {w.d for w in enumerate_family(qp, 180)}
-    ds = plus | {w.d for w in enumerate_family(qm, 180)}
+    ds = {w.d for w in enumerate_family(qp, 180)} | {w.d for w in enumerate_family(qm, 180)}
     expected = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
     if not expected <= ds:
         return False, f"missing determinants: {sorted(expected - ds)}"
@@ -193,9 +192,6 @@ def _suite_families(xy_bound: int):
     }
     if not direct <= ds:
         return False, f"direct oracle found extras: {sorted(direct - ds)}"
-    tilde = {w.d for w in enumerate_family(FamilyQuery(5, 2, 2, 1, tilde=True), 180)}
-    if tilde != plus:
-        return False, "tilde family differs for r = s"
     return True, f"genus-5 families contain the expected 10 determinants ({len(ds)} total)"
 
 

@@ -51,7 +51,10 @@ def report(cid, detail):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(query, witness) pairs over the full acceptance grid, d <= 2000."""
+    """(grid point, query, witness) over the full acceptance grid, d <= 2000.
+
+    A grid point is (g, r, s, sign, tilde); its tilde query swaps r and s.
+    """
     items = []
     for g in range(3, 13):
         for r in range(1, 5):
@@ -60,17 +63,17 @@ def sweep():
                     continue
                 for sign in (1, -1):
                     for tilde in (False, True):
-                        q = FamilyQuery(g, r, s, sign, tilde)
+                        q = FamilyQuery(g, s, r, sign) if tilde else FamilyQuery(g, r, s, sign)
                         for w in enumerate_family(q, 2000):
-                            items.append((q, w))
+                            items.append(((g, r, s, sign, tilde), q, w))
     return items
 
 
 def test_sweep_digest(sweep):
     h = hashlib.sha256()
-    for q, w in sweep:
+    for (g, r, s, sign, tilde), _, w in sweep:
         line = (
-            f"{q.g},{q.r},{q.s},{q.sign},{q.tilde},{w.d},{w.mu},{w.x},{w.y},"
+            f"{g},{r},{s},{sign},{tilde},{w.d},{w.mu},{w.x},{w.y},"
             f"{w.seed},{w.threshold_reachable}\n"
         )
         h.update(line.encode())
@@ -91,8 +94,8 @@ def test_criterion_1_genus5_determinant_list():
 
 def test_criterion_2_witness_identities(sweep):
     assert sweep, "sweep produced no witnesses"
-    for q, w in sweep:
-        g, rr, ss, sign = q.g, q.twist_rank, q.other_rank, q.sign
+    for _, q, w in sweep:
+        g, rr, ss, sign = q.g, q.r, q.s, q.sign
         h2 = 2 * g - 2
         cfg = w.D.config
         # pell residual, recomputed from the raw coordinates
@@ -111,20 +114,19 @@ def test_criterion_2_witness_identities(sweep):
 
 
 def test_criterion_3_bb_corollary(sweep):
-    for q, w in sweep:
+    for _, q, w in sweep:
         h1 = hilbert_class(w.F, q.length)
         assert h1.eps == (0 if q.length == 1 else 1)
-        assert bb_square(h1) == q.sign * 2 * q.twist_rank
+        assert bb_square(h1) == q.sign * 2 * q.r
     report(3, f"q(h1) = sign*2*rank for all {len(sweep)} witnesses")
 
 
 def test_criterion_4_isotropic_specialization(sweep):
-    iso = [(q, w) for q, w in sweep if q.g == q.r * q.s + 1]
+    iso = [(q, w) for _, q, w in sweep if q.g == q.r * q.s + 1]
     assert iso, "no isotropic witnesses in sweep"
     for q, w in iso:
-        rr = q.twist_rank
-        assert inner(w.F, w.F) == q.sign * 2 * rr
-        assert dot_H(w.F) % rr == 0
+        assert inner(w.F, w.F) == q.sign * 2 * q.r
+        assert dot_H(w.F) % q.r == 0
     report(4, f"{len(iso)} isotropic witnesses satisfy F^2 = sign*2*rank, F.H = 0 mod rank")
 
 

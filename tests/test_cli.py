@@ -153,18 +153,33 @@ def test_witness_chain(capsys):
     assert all(a > b for a, b in zip(xs, xs[1:]))
 
 
-def test_enumerate_tilde_flag(capsys):
-    # (g, r, s) with --tilde matches (g, s, r) without it
-    rc = run_cli("enumerate", "--g", "7", "--r", "3", "--s", "2", "--sign", "plus",
-                 "--tilde", "--dmax", "200", "--format", "json")
-    doc_t = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    rc = run_cli("enumerate", "--g", "7", "--r", "2", "--s", "3", "--sign", "plus",
-                 "--dmax", "200", "--format", "json")
-    doc_p = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert doc_t["query"]["tilde"] is True
-    assert [w["d"] for w in doc_t["witnesses"]] == [w["d"] for w in doc_p["witnesses"]]
+@pytest.mark.parametrize(
+    "command, g, tail",
+    [
+        ("enumerate", "7", ("--dmax", "200")),
+        # d = 61 is a member of (10, 2, 3, +) and not of (10, 3, 2, +)
+        ("member", "10", ("--d", "61")),
+        ("witness", "10", ("--d", "61", "--count", "3")),
+        ("hilbert", "10", ("--d", "61", "--mu", "5", "--x", "-113242", "--y", "-14498")),
+    ],
+    ids=["enumerate", "member", "witness", "hilbert"],
+)
+def test_enumerate_tilde_flag(capsys, command, g, tail):
+    # --r a --s b --tilde is --r b --s a; only the query block echoes the flags as given
+    def run(r, s, *tilde):
+        rc = run_cli(command, "--g", g, "--r", r, "--s", s, "--sign", "plus", *tail,
+                     "--format", "json", *tilde)
+        captured = capsys.readouterr()
+        return rc, captured.err, json.loads(captured.out)
+
+    rc_t, err_t, doc_t = run("3", "2", "--tilde")
+    rc_p, err_p, doc_p = run("2", "3")
+    assert rc_t == rc_p == 0
+    assert err_t == err_p
+    if command != "hilbert":
+        assert doc_t.pop("query") == {"g": int(g), "r": 3, "s": 2, "sign": "plus", "tilde": True}
+        assert doc_p.pop("query")["tilde"] is False
+    assert doc_t == doc_p
 
 
 def test_witness_flagged_member_exits_zero(capsys):
@@ -215,9 +230,10 @@ def test_witness_notes_trim_big_integers(capsys):
     notes = capsys.readouterr().err.splitlines()
     assert rc == 0 and len(notes) == 12
     assert notes[0] == "seed (x0,y0)=(-9, -1) -> witness (x,y)=(-9,-1) threshold -9 reachable=True"
-    # the table's trimmed form: leading and trailing digits, then the length
-    assert notes[-1] == ("seed (x0,y0)=(-486..6633(42d), -117..1857(42d)) -> "
-                         "witness (x,y)=(-486..6633(42d),-117..1857(42d)) "
+    # the table's trimmed form: leading and trailing digits, then the number
+    # of digits, which leaves out the minus sign
+    assert notes[-1] == ("seed (x0,y0)=(-486..6633(41d), -117..1857(41d)) -> "
+                         "witness (x,y)=(-486..6633(41d),-117..1857(41d)) "
                          "threshold -9 reachable=True")
 
 
@@ -501,7 +517,7 @@ def test_usage_error_exit_code():
 _CHAIN_ARGV = ("witness", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
                "--count", "200")
 _EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-_CHAIN_ERR_SHA = "04303dbbcb3fa70c5ceda6cf297d9b9ee558b6236a27dfc71fc32a374fd1b625"
+_CHAIN_ERR_SHA = "27c4221122a9c9da325927dea2cc9c56b8131fbc9d8629bd9f62e3b590b21822"
 
 
 @pytest.mark.parametrize(
@@ -512,7 +528,7 @@ _CHAIN_ERR_SHA = "04303dbbcb3fa70c5ceda6cf297d9b9ee558b6236a27dfc71fc32a374fd1b6
         (_CHAIN_ARGV + ("--format", "csv"),
          "ea1188fef8da32f079889735ebe571f4372596bcdf95a5b7759faa24c1b8f5e1", _CHAIN_ERR_SHA),
         (_CHAIN_ARGV + ("--format", "table"),
-         "6a7b47d979e2eeef23379c09a837e5322dacedc35f3ae52d9dc4068ad9b8adc7", _CHAIN_ERR_SHA),
+         "98aec6d69cd6951ac8ae585c6fcf2460f15f7e24be14b644d26718a141ea075f", _CHAIN_ERR_SHA),
         (("member", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
           "--format", "json"),
          "86c8ae503b495dc6f9ade7155fe0be1858b64ebf16af78706d3719023cd5908b",

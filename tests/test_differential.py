@@ -82,11 +82,12 @@ def test_membership_agrees_with_independent_decision():
         assert (unit.u0, unit.w0) == sympy_unit(d), d
         rhs = rhs_value(q)
         for oc in outcomes:
-            expected = independent_membership(g, q.twist_rank, oc.mu, d, rhs)
+            expected = independent_membership(g, q.r, oc.mu, d, rhs)
             # y = 0 only weakens membership when rhs is a perfect square;
             # the independent scan counts such orbits, ours requires y != 0
             # on some orbit element, which the same orbit always contains
-            assert oc.found == expected, (g, r, s, sign, d, oc.mu)
+            found = oc.witness is not None
+            assert found == expected, (g, r, s, sign, d, oc.mu)
             agreements += 1
-            positives += int(oc.found)
+            positives += int(found)
     assert positives > 20, "differential test exercised too few members"

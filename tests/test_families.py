@@ -23,12 +23,13 @@ from k3witness import (
     verify_witness,
     witness_chain,
 )
+from k3witness.cli import main
 
 KNOWN_GENUS5_DS = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
 
 
-def q522(sign=1, tilde=False):
-    return FamilyQuery(5, 2, 2, sign, tilde)
+def q522(sign=1):
+    return FamilyQuery(5, 2, 2, sign)
 
 
 class TestMember:
@@ -67,7 +68,7 @@ class TestMember:
     def test_membership_lists_every_mu(self):
         outcomes = membership(q522(1), 17)
         assert [oc.mu for oc in outcomes] == [1, 7]
-        assert all(oc.found for oc in outcomes)
+        assert all(oc.witness is not None for oc in outcomes)
 
     def test_zero_rhs_has_no_members(self):
         # sign -, g - 1 = r(s + 1): u^2 = d*w^2 forces square d
@@ -155,24 +156,29 @@ class TestDirectOracle:
 
 
 class TestTildeFamily:
-    def test_equal_for_r_equals_s(self):
-        for sign in (1, -1):
-            plain = [w.d for w in enumerate_family(q522(sign), 180)]
-            swapped = [w.d for w in enumerate_family(q522(sign, tilde=True), 180)]
-            assert plain == swapped
+    # the tilde family of (g, r, s) is the family of (g, s, r); --tilde builds it
+
+    def test_equal_for_r_equals_s(self, capsys):
+        for sign in ("plus", "minus"):
+            outs = []
+            for tilde in ((), ("--tilde",)):
+                argv = ["enumerate", "--g", "5", "--r", "2", "--s", "2", "--sign", sign,
+                        "--dmax", "180", "--format", "csv", *tilde]
+                assert main(argv) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     def test_tilde_swaps_roles(self):
-        # (g, r, s) tilde behaves like (g, s, r) plain
-        q_t = FamilyQuery(7, 3, 2, 1, tilde=True)
-        q_p = FamilyQuery(7, 2, 3, 1)
-        assert {w.d for w in enumerate_family(q_t, 200)} == {
-            w.d for w in enumerate_family(q_p, 200)
-        }
+        # for r != s the swap changes the family: the tilde family of
+        # (10, 3, 2, +) up to 200 is [61, 109, 145, 181]
+        assert [w.d for w in enumerate_family(FamilyQuery(10, 2, 3, 1), 200)] == [61, 109, 145, 181]
+        assert [w.d for w in enumerate_family(FamilyQuery(10, 3, 2, 1), 200)] == [73, 97, 145, 193]
 
     def test_tilde_identities(self):
-        q = FamilyQuery(7, 3, 2, -1, tilde=True)
+        # the tilde family of (7, 3, 2, -) twists (2, H, 3)
+        q = FamilyQuery(7, 2, 3, -1)
         for w in enumerate_family(q, 200):
-            # F~ = H + s*D~ satisfies F~^2 = (2g-2) + s(+-2 - 2r)
+            # F = H + r*D satisfies F^2 = (2g-2) + r(+-2 - 2s)
             assert inner(w.F, w.F) == 12 + 2 * (-2 - 6)
             assert (dot_H(w.F) - 2 * w.mu * w.y) % 12 == 0
 
@@ -322,6 +328,10 @@ class TestQueryValidation:
             FamilyQuery(3, 2, 2, 1)
 
     def test_twist_rank(self):
-        assert FamilyQuery(7, 2, 3, 1).twist_rank == 2
-        assert FamilyQuery(7, 2, 3, 1, tilde=True).twist_rank == 3
-        assert FamilyQuery(7, 2, 3, 1).length == 1
+        # the twisted vector is (r, H, s): F = H + r*D in either order of r, s
+        for r, s in ((2, 3), (3, 2)):
+            q = FamilyQuery(7, r, s, 1)
+            assert q.length == 1
+            ws = enumerate_family(q, 200)
+            assert ws
+            assert all(w.F == w.D.config.H + r * w.D for w in ws)

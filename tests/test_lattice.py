@@ -34,11 +34,11 @@ class TestMakeLattice:
         cfg = make_lattice(5, 17, 1)
         assert (cfg.g, cfg.d, cfg.mu) == (5, 17, 1)
         assert cfg.h_square == 8
-        assert not cfg.square_disc
 
     def test_square_discriminant_flagged_not_fatal(self):
+        # a square d is valid lattice data; only the Pell searches reject it
         cfg = make_lattice(5, 9, 3)
-        assert cfg.square_disc
+        assert (cfg.d, cfg.mu) == (9, 3)
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):

@@ -40,8 +40,7 @@ def reference_chain(query, d, count, x_threshold=None):
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
     step, _ = block_unit(problem)
-    rr = query.twist_rank
-    cur = problem.solution(rr * first.x + cfg.h_square, rr * first.y)
+    cur = problem.solution(query.r * first.x + cfg.h_square, query.r * first.y)
     out = [(first.mu, first.x, first.y)]
     while len(out) < count:
         cur = push_negative(cur, problem, problem.decode_x(cur.u) - 1, step)
@@ -51,7 +50,8 @@ def reference_chain(query, d, count, x_threshold=None):
 
 @pytest.mark.parametrize("g, r, s, sign, tilde, d", CHAIN_FAMILIES)
 def test_chain_matches_per_element_pushes(g, r, s, sign, tilde, d):
-    query = FamilyQuery(g, r, s, sign, tilde)
+    # the tilde family of (g, r, s) is the family of (g, s, r)
+    query = FamilyQuery(g, s, r, sign) if tilde else FamilyQuery(g, r, s, sign)
     chain = witness_chain(query, d, 60)
     assert [(w.mu, w.x, w.y) for w in chain] == reference_chain(query, d, 60)
     assert all(w.report.all_passed for w in chain)
