@@ -25,6 +25,7 @@ from .families import (
     MuOutcome,
     VerificationReport,
     Witness,
+    default_x_threshold,
     enumerate_direct,
     enumerate_family,
     infinitude,
@@ -59,7 +60,6 @@ from .pell import (
     PellSolution,
     block_unit,
     class_representatives,
-    default_x_threshold,
     fundamental_unit,
     orbit_step,
     push_negative,

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -48,6 +49,7 @@ from .families import (
     enumerate_family,
     membership,
     preferred_witness,
+    rhs_value,
     witness_chain,
 )
 from .hilbert import exceptional_coefficient
@@ -94,68 +96,27 @@ def witness_dict(w: Witness, eps: int) -> dict:
     }
 
 
-def _document(args, sign_word: str, witnesses: list[Witness], lattice=None) -> dict:
-    eps = exceptional_coefficient(args.g - args.r * args.s)
-    return {
-        "query": {
-            "g": args.g,
-            "r": args.r,
-            "s": args.s,
-            "sign": sign_word,
-            "tilde": args.tilde,
-        },
-        "lattice": lattice,
-        "witnesses": [witness_dict(w, eps) for w in witnesses],
-    }
+# the csv columns: paths into witness_dict, "." between levels, then checks_ok
+_CSV_COLUMNS = (
+    "d", "mu", "sign", "x", "y", "D.x", "D.y", "F.x", "F.y", "F2", "FdotH", "DdotH",
+    "pell_residual", "bb.eps", "bb.q", "bb.b", "x_threshold", "threshold_reachable",
+)
 
 
-_CSV_FIELDS = [
-    "d",
-    "mu",
-    "sign",
-    "x",
-    "y",
-    "D_x",
-    "D_y",
-    "F_x",
-    "F_y",
-    "F2",
-    "FdotH",
-    "DdotH",
-    "pell_residual",
-    "bb_eps",
-    "bb_q",
-    "bb_b",
-    "x_threshold",
-    "threshold_reachable",
-    "checks_ok",
-]
-
-
-def _csv_rows(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
-    eps = exceptional_coefficient(args.g - args.r * args.s)
-    lines = [",".join(_CSV_FIELDS)]
-    for w in witnesses:
-        d = witness_dict(w, eps)
-        row = [
-            d["d"], d["mu"], d["sign"], d["x"], d["y"],
-            d["D"]["x"], d["D"]["y"], d["F"]["x"], d["F"]["y"],
-            d["F2"], d["FdotH"], d["DdotH"], d["pell_residual"],
-            d["bb"]["eps"], d["bb"]["q"], d["bb"]["b"],
-            d["x_threshold"], d["threshold_reachable"],
-            all(d["checks"].values()),
-        ]
+def _csv_rows(rows: list[dict], digits: dict[int, str]) -> str:
+    lines = [",".join(c.replace(".", "_") for c in _CSV_COLUMNS) + ",checks_ok"]
+    for row in rows:
+        values = [reduce(getitem, c.split("."), row) for c in _CSV_COLUMNS]
+        values.append(all(row["checks"].values()))
         # csv writes str(True) as "True"; the memo, keyed on value, would give "1"
-        lines.append(",".join(str(v) if isinstance(v, (bool, str)) else digits[v] for v in row))
+        lines.append(",".join(str(v) if isinstance(v, (bool, str)) else digits[v] for v in values))
     return "\n".join(lines) + "\n"
 
 
-def _table(args, witnesses: list[Witness], digits: dict[int, str]) -> str:
+def _table(rows: list[dict], digits: dict[int, str]) -> str:
     header = f"{'d':>6} {'mu':>4} {'sign':>5} {'x':>12} {'y':>10} {'F^2':>6} {'F.H':>12} {'D.H':>12} {'q':>6}  checks"
-    eps = exceptional_coefficient(args.g - args.r * args.s)
     lines = [header, "-" * len(header)]
-    for w in witnesses:
-        d = witness_dict(w, eps)
+    for d in rows:
         ok = "ok" if all(d["checks"].values()) else "FLAG:" + ",".join(
             k for k, v in d["checks"].items() if not v
         )
@@ -231,9 +192,9 @@ def _write_json(o, indent: str, put: Callable[[str], None], digits: dict[int, st
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _emit(args, doc: Callable[[], dict], text: Callable[[], str], digits: dict[int, str]) -> None:
-    """Write doc() as JSON under --format json, else text(), to --out or stdout."""
-    data = _json(doc(), digits) + "\n" if args.fmt == "json" else text()
+def _emit(args, doc: dict, text: Callable[[], str], digits: dict[int, str]) -> None:
+    """Write doc as JSON under --format json, else text(), to --out or stdout."""
+    data = _json(doc, digits) + "\n" if args.fmt == "json" else text()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -247,7 +208,6 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str], digits: dict[i
 def _render(
     args,
     witnesses: list[Witness],
-    sign_word: str,
     lattice=None,
     notes: Callable[[dict[int, str]], Iterable[str]] = lambda digits: (),
 ) -> int:
@@ -263,13 +223,15 @@ def _render(
     digits = _Digits()
     for line in notes(digits):
         print(line, file=sys.stderr)
-    rows = _csv_rows if args.fmt == "csv" else _table
-    _emit(
-        args,
-        lambda: _document(args, sign_word, witnesses, lattice),
-        lambda: rows(args, witnesses, digits),
-        digits,
-    )
+    eps = exceptional_coefficient(args.g - args.r * args.s)
+    rows = [witness_dict(w, eps) for w in witnesses]
+    doc = {
+        "query": {"g": args.g, "r": args.r, "s": args.s, "sign": args.sign, "tilde": args.tilde},
+        "lattice": lattice,
+        "witnesses": rows,
+    }
+    text = _csv_rows if args.fmt == "csv" else _table
+    _emit(args, doc, lambda: text(rows, digits), digits)
     return EXIT_OK
 
 
@@ -282,25 +244,30 @@ def cmd_enumerate(args) -> int:
         q = _query_from_args(args, sign)
         witnesses.extend(enumerate_family(q, args.dmax, x_threshold=args.x_threshold))
     witnesses.sort(key=lambda w: (w.d, 0 if w.sign == 1 else 1, w.mu))
-    return _render(args, witnesses, args.sign)
+    return _render(args, witnesses)
 
 
 def cmd_member(args) -> int:
     sign = 1 if args.sign == "plus" else -1
     q = _query_from_args(args, sign)
     outcomes = membership(q, args.d, x_threshold=args.x_threshold)
-    notes = [
-        f"mu={oc.mu}: "
-        + ("member" if oc.witness is not None else f"empty (period {oc.residue_period} scanned)")
-        for oc in outcomes
-    ]
+    rhs_zero = rhs_value(q) == 0
+    notes = []
+    for oc in outcomes:
+        if oc.witness is not None:
+            state = "member"
+        elif rhs_zero:  # nothing is scanned: u^2 = d*w^2 with w != 0 forces a square d
+            state = "empty (rhs = 0: no solution with y != 0 for a non-square d)"
+        else:
+            state = f"empty (period {oc.residue_period} scanned)"
+        notes.append(f"mu={oc.mu}: {state}")
     chosen = preferred_witness(outcomes)
     if chosen is None:
         notes.append(f"d={args.d} is not a member for any admissible mu")
         print(*notes, sep="\n", file=sys.stderr)
         return EXIT_REJECTED
     lattice = {"d": chosen.d, "mu": chosen.mu}
-    return _render(args, [chosen], args.sign, lattice, lambda digits: notes)
+    return _render(args, [chosen], lattice, lambda digits: notes)
 
 
 def cmd_witness(args) -> int:
@@ -316,7 +283,7 @@ def cmd_witness(args) -> int:
                 f"threshold {thr} reachable={w.threshold_reachable}"
             )
 
-    return _render(args, chain, args.sign, {"d": chain[0].d, "mu": chain[0].mu}, notes)
+    return _render(args, chain, {"d": chain[0].d, "mu": chain[0].mu}, notes)
 
 
 def cmd_pell(args) -> int:
@@ -333,7 +300,7 @@ def cmd_pell(args) -> int:
     lines = [f"fundamental unit: ({unit.u0}, {unit.w0})"]
     lines.append(f"class representatives of u^2 - {args.d}w^2 = {args.n} (window):")
     lines.extend(f"  ({r.u}, {r.w})" for r in reps)
-    _emit(args, lambda: doc, lambda: "\n".join(lines) + "\n", _Digits())
+    _emit(args, doc, lambda: "\n".join(lines) + "\n", _Digits())
     return EXIT_OK
 
 
@@ -349,7 +316,7 @@ def cmd_hilbert(args) -> int:
         return EXIT_REJECTED
     F = cfg.H + q.r * D
     # the threshold is arbitrary: its check is not printed
-    rep = _verify_fields(q, cfg, D, F, 0, True)
+    rep = _verify_fields(q, cfg, D, F, 0)
     q_check, b_check = rep["bb_square"], rep["bb_pairing"]
     ok = q_check.passed and b_check.passed
     doc = {
@@ -362,8 +329,7 @@ def cmd_hilbert(args) -> int:
         "b_residue": b_check.actual,
         "corollary_ok": ok,
     }
-    _emit(args, lambda: doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n",
-          _Digits())
+    _emit(args, doc, lambda: "\n".join(f"{k}: {v}" for k, v in doc.items()) + "\n", _Digits())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -46,15 +46,16 @@ class DegenerateQuery(K3WitnessError):
 
 
 class ThresholdUnreachable(K3WitnessError):
-    """The orbit walk cannot make x small enough.
+    """The orbit walk cannot reach the threshold.
 
-    ``certified`` is True when no block with w != 0 on the constrained orbit
-    reaches the threshold (its x values are bounded below); the orbit walk
-    has no step cap, so every raise in this package sets it.  ``best``
-    carries the w != 0 solution with the smallest x, when one is known.
+    Every raise is certified: no block with w != 0 on the constrained orbit
+    reaches it (u, hence x, is bounded below there), as the orbit walk has
+    no step cap.  ``best`` carries the w != 0 solution with the smallest u,
+    when one is known.
     """
 
-    def __init__(self, message, *, best=None, certified=False):
+    certified = True
+
+    def __init__(self, message, *, best=None):
         super().__init__(message)
         self.best = best
-        self.certified = certified

@@ -25,6 +25,11 @@ CLI renderers and the ``hilbert`` command all take their values from it:
   n = g - r*s points: q(h1) = F^2 - 2(n-1)*eps^2 = sign*2r, reusing F^2
   from (c), and b(h1, H) = F.H = r*mu*y mod 2g-2, reusing the residue of (d).
 
+The substitution u = r*x + 2(g-1), w = r*y belongs to this module: ``pell``
+works in (u, w) alone, and every x threshold is handed to it as the u
+threshold r*x + 2(g-1).  Since x is exact and strictly increasing in u, the
+two orders agree.
+
 Check (e) is special: for some queries every constrained solution class has
 u > 0 and D.H is bounded below, so the threshold is provably unreachable.
 Membership still holds (it is defined by the equation above); the witness
@@ -36,10 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
     DegenerateQuery,
+    K3WitnessError,
     NegativeDimension,
     NoValidMu,
     SquareDiscriminant,
@@ -62,9 +69,9 @@ from .pell import (
     PellProblem,
     PellSolution,
     _descend,
+    _size,
     block_unit,
     constrained_orbit_hits,
-    default_x_threshold,
     push_negative,
     residue_period,
 )
@@ -108,7 +115,6 @@ class CheckOutcome:
     passed: bool
     expected: object
     actual: object
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
 
     Substitution u = r*x + 2(g-1), w = r*y.  The congruences w = 0
     (mod r) and u - mu*w = 2(g-1) (mod r*(2g-2)) imply u = 2(g-1)
-    (mod r), so x, y are integers with x = mu*y mod 2g-2.
+    (mod r), so x, y are integers with x = mu*y mod 2g-2 (see ``_decode``).
     """
     r = query.r
     h2 = cfg.h_square
@@ -188,9 +194,16 @@ def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
     if r > 1:
         cons.append(LinearCongruence(0, 1, 0, r))
     cons.append(LinearCongruence(1, -cfg.mu, h2, r * h2))
-    return PellProblem(
-        cfg.d, rhs_value(query), tuple(cons), u_shift=h2, scale=r
-    )
+    return PellProblem(cfg.d, rhs_value(query), tuple(cons))
+
+
+def _decode(query: FamilyQuery, sol: PellSolution) -> tuple[int, int]:
+    """(x, y) of the solution (u, w) = (r*x + 2(g-1), r*y)."""
+    x, ru = divmod(sol.u - 2 * (query.g - 1), query.r)
+    y, rw = divmod(sol.w, query.r)
+    if ru or rw:
+        raise K3WitnessError(f"({_size(sol.u)}, {_size(sol.w)}) does not decode to integers x, y")
+    return x, y
 
 
 def _verify_fields(
@@ -199,7 +212,6 @@ def _verify_fields(
     D: Divisor,
     F: Divisor,
     x_threshold: int,
-    threshold_reachable: bool,
 ) -> VerificationReport:
     """The one witness checker: every identity of (D, F), each computed once."""
     r, s = query.r, query.s
@@ -225,8 +237,7 @@ def _verify_fields(
     checks.append(CheckOutcome("f_dot_h", f_res == 0, 0, f_res))
 
     dh = dot_H(D)
-    note = "" if threshold_reachable else "threshold certified unreachable"
-    checks.append(CheckOutcome(THRESHOLD_CHECK, dh <= x_threshold, x_threshold, dh, note))
+    checks.append(CheckOutcome(THRESHOLD_CHECK, dh <= x_threshold, x_threshold, dh))
 
     v = MukaiVector(r, cfg.H, s)
     tv = tensorize(v, D)
@@ -248,7 +259,17 @@ def _verify_fields(
 def verify_witness(w: Witness, query: FamilyQuery) -> VerificationReport:
     """Recompute every identity of the witness from scratch."""
     cfg = make_lattice(query.g, w.d, w.mu)
-    return _verify_fields(query, cfg, w.D, w.F, w.x_threshold, w.threshold_reachable)
+    return _verify_fields(query, cfg, w.D, w.F, w.x_threshold)
+
+
+def default_x_threshold(h_square: int, rank: int) -> int:
+    """Largest integer x with x < -h_square/max(rank-1, 1) - 1.
+
+    Reading of "very negative" that keeps (H + (rank-1)D).H strictly
+    negative for a divisor D with D.H = x.
+    """
+    m = max(rank - 1, 1)
+    return -((h_square + m - 1) // m) - 1
 
 
 def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
@@ -260,22 +281,21 @@ def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
 def _build_witness(
     query: FamilyQuery,
     cfg: LatticeConfig,
-    problem: PellProblem,
     sol: PellSolution,
     seed: PellSolution,
     x_threshold: int,
     reachable: bool,
 ) -> Witness:
-    D = divisor(cfg, *problem.decode(sol))
+    D = divisor(cfg, *_decode(query, sol))
     F = cfg.H + query.r * D
-    report = _verify_fields(query, cfg, D, F, x_threshold, reachable)
+    report = _verify_fields(query, cfg, D, F, x_threshold)
     return Witness(
         d=cfg.d,
         mu=cfg.mu,
         sign=query.sign,
         D=D,
         F=F,
-        seed=problem.decode(seed),
+        seed=_decode(query, seed),
         x_threshold=x_threshold,
         threshold_reachable=reachable,
         report=report,
@@ -302,6 +322,7 @@ def membership(
     if not mus:
         raise NoValidMu(f"no unit square root of {d} mod {4 * (query.g - 1)}")
     thr = _resolve_threshold(query, x_threshold)
+    u_thr = query.r * thr + 2 * (query.g - 1)
     rhs = rhs_value(query)
     outcomes: list[MuOutcome] = []
     for mu in mus:
@@ -320,17 +341,14 @@ def membership(
         bounded: list[tuple[PellSolution, PellSolution]] = []
         for hit in hits:
             try:
-                reached.append((push_negative(hit, problem, thr, step), hit))
+                reached.append((push_negative(hit, problem, u_thr, step), hit))
             except ThresholdUnreachable as exc:
                 bounded.append((exc.best, hit))
-
-        def key(pair: tuple[PellSolution, PellSolution]) -> tuple[int, int]:
-            return problem.decode_x(pair[0].u), pair[0].w
-
         # of all orbits that reach the threshold, stay closest to it; when
-        # none does, report the lowest orbit minimum
+        # none does, report the lowest orbit minimum; a tie keeps the first
+        key = itemgetter(0)
         sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
-        witness = _build_witness(query, cfg, problem, sol, seed, thr, bool(reached))
+        witness = _build_witness(query, cfg, sol, seed, thr, bool(reached))
         outcomes.append(MuOutcome(mu, witness, period))
     return outcomes
 
@@ -455,6 +473,12 @@ def witness_chain(
     r = query.r
     start = problem.solution(r * first.x + cfg.h_square, r * first.y)
     chain = [first]  # the walk's first block is the first witness
-    for sol in islice(_descend(start, problem, step), 1, count):
-        chain.append(_build_witness(query, cfg, problem, sol, sol, first.x_threshold, True))
+    try:
+        for sol in islice(_descend(start, problem, step), 1, count):
+            chain.append(_build_witness(query, cfg, sol, sol, first.x_threshold, True))
+    except ThresholdUnreachable as exc:
+        x = _decode(query, exc.best)[0]
+        raise ThresholdUnreachable(
+            f"x on the orbit's w != 0 blocks is bounded below by {_size(x)}", best=exc.best
+        ) from None
     return chain

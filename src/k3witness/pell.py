@@ -34,13 +34,17 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    ("blocks") moves along a constrained orbit.  M and T have one formula
    each; the block unit q = unit^T is built by ``block_unit``, once per
    problem by the caller, who passes it down.  On each block-orbit the value u is
-   A*q^j + B*q^(-j) with A*B = N, so u (hence the decoded x) is convex,
-   concave, or monotone in the block index j depending only on the signs of
-   N and u.  The one walk, ``_descend``, yields the w != 0 blocks with
-   falling x, one step of q each (w = 0 happens at most once per orbit,
-   where x is extremal), and stops with a certified minimum where a convex
-   orbit bottoms out; every step lowers x, so it needs no step cap.
-   ``push_negative`` and ``families.witness_chain`` both use it.
+   A*q^j + B*q^(-j) with A*B = N, so u is convex, concave, or monotone in the
+   block index j depending only on the signs of N and u.  The one walk,
+   ``_descend``, yields the w != 0 blocks with falling u, one step of q each
+   (w = 0 happens at most once per orbit, where u is extremal), and stops
+   with a certified minimum where a convex orbit bottoms out; every step
+   lowers u, so it needs no step cap.  ``push_negative`` and
+   ``families.witness_chain`` both use it.
+
+This module speaks only (u, w), ordered as pairs.  A caller with its own
+coordinates (``families`` has x, y with u = r*x + 2g-2, w = r*y) states its
+thresholds in u and maps back the solutions it keeps.
 """
 
 from __future__ import annotations
@@ -68,8 +72,10 @@ class FundamentalUnit:
     w0: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PellSolution:
+    """A solution (u, w); solutions order by u, then w."""
+
     u: int
     w: int
 
@@ -89,26 +95,17 @@ class LinearCongruence:
 
 @dataclass(frozen=True)
 class PellProblem:
-    """u^2 - d*w^2 = rhs subject to residue constraints.
-
-    ``u_shift`` and ``scale`` record an affine substitution u = scale*x +
-    u_shift, w = scale*y used by callers to decode solutions back to their
-    own coordinates.
-    """
+    """u^2 - d*w^2 = rhs subject to residue constraints."""
 
     d: int
     rhs: int
     constraints: tuple[LinearCongruence, ...] = ()
-    u_shift: int = 0
-    scale: int = 1
 
     def __post_init__(self):
         if self.d < 2 or is_perfect_square(self.d):
             raise SquareInput(f"d={self.d} must be a non-square >= 2")
         if self.rhs == 0:
             raise ValueError("right-hand side must be nonzero")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
         if any(c.modulus < 1 for c in self.constraints):
             raise ValueError("constraint moduli must be >= 1")
 
@@ -124,19 +121,6 @@ class PellProblem:
                 f"({_size(u)}, {_size(w)}) does not solve u^2 - {self.d}w^2 = {self.rhs}"
             )
         return PellSolution(u, w)
-
-    def decode_x(self, u: int) -> int:
-        q, r = divmod(u - self.u_shift, self.scale)
-        if r:
-            raise K3WitnessError("u does not decode to an integer x")
-        return q
-
-    def decode(self, sol: PellSolution) -> tuple[int, int]:
-        """Map (u, w) back to (x, y) through the affine substitution."""
-        y, r = divmod(sol.w, self.scale)
-        if r:
-            raise K3WitnessError("w does not decode to an integer y")
-        return self.decode_x(sol.u), y
 
 
 def _pqa(d: int, P: int, Q: int):
@@ -456,71 +440,51 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
     return tuple(out)
 
 
-def default_x_threshold(h_square: int, rank: int) -> int:
-    """Largest integer x with x < -h_square/max(rank-1, 1) - 1.
-
-    Reading of "very negative" that keeps (H + (rank-1)D).H strictly
-    negative for a divisor D with D.H = x.
-    """
-    m = max(rank - 1, 1)
-    return -((h_square + m - 1) // m) - 1
-
-
 def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
-    """The w != 0 blocks of the constrained orbit of ``sol``, x falling.
+    """The w != 0 blocks of the constrained orbit of ``sol``, u falling.
 
     ``step`` is the problem's block unit q.  The first block is ``sol``, or
-    for w = 0 its neighbour with the lower (x, w); the walk heads to the
-    neighbour with the lower (x, w) and keeps that direction, passing over a
-    w = 0 block.  For rhs > 0 and u > 0 the orbit is convex: where the next
-    block does not lower x the walk raises ``ThresholdUnreachable`` with
-    ``certified=True`` and that orbit minimum as ``best``.  On any other
-    orbit x falls at every step, and a step that does not lower x raises
-    ``RuntimeError``.
+    for w = 0 its lower neighbour; the walk heads to the lower neighbour
+    and keeps that direction, passing over a w = 0 block.  For rhs > 0 and
+    u > 0 the orbit is convex: where the next block does not lower u the
+    walk raises ``ThresholdUnreachable`` with that orbit minimum as
+    ``best``.  On any other orbit u falls at every step, and a step that
+    does not lower u raises ``RuntimeError``.
     """
 
-    def key(p: PellSolution) -> tuple[int, int]:
-        return problem.decode_x(p.u), p.w
-
     def off_axis(p: PellSolution) -> PellSolution:
-        if p.w:
-            return p
-        return min(orbit_step(p, step, 1), orbit_step(p, step, -1), key=key)
+        return p if p.w else min(orbit_step(p, step, 1), orbit_step(p, step, -1))
 
     cur = off_axis(sol)
-    x = problem.decode_x(cur.u)
     yield cur
     fwd, bwd = orbit_step(cur, step, 1), orbit_step(cur, step, -1)
-    nxt, direction = (fwd, 1) if key(fwd) < key(bwd) else (bwd, -1)
+    nxt, direction = (fwd, 1) if fwd < bwd else (bwd, -1)
     convex = problem.rhs > 0 and cur.u > 0
     while True:
-        nxt_x = problem.decode_x(nxt.u)
-        if nxt_x >= x:
+        if nxt.u >= cur.u:
             if not convex:
-                raise RuntimeError(f"x stopped falling on a non-convex orbit, d={problem.d}")
+                raise RuntimeError(f"u stopped falling on a non-convex orbit, d={problem.d}")
             best = off_axis(cur)
             raise ThresholdUnreachable(
-                f"x on the orbit's w != 0 blocks is bounded below by "
-                f"{_size(problem.decode_x(best.u))}",
+                f"u on the orbit's w != 0 blocks is bounded below by {_size(best.u)}",
                 best=best,
-                certified=True,
             )
-        cur, x, nxt = nxt, nxt_x, orbit_step(nxt, step, direction)
+        cur, nxt = nxt, orbit_step(nxt, step, direction)
         if cur.w:
             yield cur
 
 
 def push_negative(
-    sol: PellSolution, problem: PellProblem, x_threshold: int, step: FundamentalUnit
+    sol: PellSolution, problem: PellProblem, u_threshold: int, step: FundamentalUnit
 ) -> PellSolution:
     """First block on the constrained orbit of ``sol`` with w != 0 and
-    decoded x <= x_threshold, walking by the block unit ``step`` (see
+    u <= u_threshold, walking by the block unit ``step`` (see
     ``block_unit``).  Where a convex orbit bottoms out above the threshold,
-    raises ``ThresholdUnreachable`` with ``certified=True`` and the orbit
-    minimum as ``best`` (see ``_descend``).
+    raises ``ThresholdUnreachable`` with the orbit minimum as ``best`` (see
+    ``_descend``).
     """
     if problem.residual(sol.u, sol.w) != 0:
         raise ValueError("not a solution of the problem")
     if not problem.meets_constraints(sol.u, sol.w):
         raise ValueError("solution does not satisfy the problem constraints")
-    return next(p for p in _descend(sol, problem, step) if problem.decode_x(p.u) <= x_threshold)
+    return next(p for p in _descend(sol, problem, step) if p.u <= u_threshold)

@@ -100,7 +100,7 @@ def test_json_roundtrip_reverifies(tmp_path):
         cfg = make_lattice(q.g, wd["d"], wd["mu"])
         D = divisor(cfg, wd["D"]["x"], wd["D"]["y"])
         F = divisor(cfg, wd["F"]["x"], wd["F"]["y"])
-        rep = _verify_fields(q, cfg, D, F, wd["x_threshold"], wd["threshold_reachable"])
+        rep = _verify_fields(q, cfg, D, F, wd["x_threshold"])
         assert rep.flags() == wd["checks"]
         assert (wd["x"], wd["y"]) == (D.x, D.y)
         h2 = 2 * q.g - 2
@@ -140,6 +140,18 @@ def test_member_non_member(capsys):
                  "--sign", "plus")
     assert rc == 3
     assert "not a member" in capsys.readouterr().err
+
+
+def test_member_rhs_zero_note(capsys):
+    # rhs = 4(g-1)(sign*r - r*s + g - 1) = 0: nothing is scanned for any mu
+    rc = run_cli("member", "--g", "5", "--r", "2", "--s", "1", "--d", "17",
+                 "--sign", "minus")
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "mu=1: empty (rhs = 0: no solution with y != 0 for a non-square d)\n"
+        "mu=7: empty (rhs = 0: no solution with y != 0 for a non-square d)\n"
+        "d=17 is not a member for any admissible mu\n"
+    )
 
 
 def test_witness_chain(capsys):
@@ -419,7 +431,7 @@ def test_selfcheck_fault_injection(monkeypatch, capsys):
         (ValueError("bad d"), 2, "error: bad d"),
         (NoValidMu("no mu"), 3, "rejected: no mu"),
         (DegenerateQuery("g=4 equals r*s"), 3, "rejected: g=4 equals r*s"),
-        (ThresholdUnreachable("bounded", certified=True), 3, "rejected: bounded"),
+        (ThresholdUnreachable("bounded"), 3, "rejected: bounded"),
         (SquareDiscriminant("d=16 is a perfect square"), 3,
          "square discriminant: d=16 is a perfect square"),
         (SquareInput("d=16 must be a non-square >= 2"), 3,

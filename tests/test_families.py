@@ -6,9 +6,11 @@ import pytest
 from k3witness import (
     DegenerateQuery,
     FamilyQuery,
+    K3WitnessError,
     NegativeDimension,
     NoValidMu,
     NotInLattice,
+    PellSolution,
     SquareDiscriminant,
     ThresholdUnreachable,
     divisor,
@@ -24,6 +26,8 @@ from k3witness import (
     witness_chain,
 )
 from k3witness.cli import main
+from k3witness.families import _decode
+from k3witness.lattice import is_perfect_square, unit_square_roots
 
 KNOWN_GENUS5_DS = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
 
@@ -211,7 +215,6 @@ class TestThresholdFlagging:
         assert not w.threshold_reachable
         assert w.report.core_passed
         assert w.report.failed == ("dh_threshold",)
-        assert w.report["dh_threshold"].note == "threshold certified unreachable"
 
     def test_unreachable_witness_is_isotropic_valid(self):
         q = FamilyQuery(4, 3, 1, 1)
@@ -247,10 +250,11 @@ class TestThresholdFlagging:
         step, _ = block_unit(prob)
         base = prob.solution(6, 0)
         assert prob.meets_constraints(6, 0)
-        assert prob.decode_x(base.u) == 0
-        for thr in (0, -4):
+        assert _decode(q, base) == (0, 0)
+        # thresholds are in u = 3x + 6: x <= 0 and x <= -4
+        for u_thr in (6, -6):
             with pytest.raises(ThresholdUnreachable) as exc_info:
-                push_negative(base, prob, thr, step)
+                push_negative(base, prob, u_thr, step)
             assert exc_info.value.certified
             best = exc_info.value.best
             assert best.w != 0
@@ -258,7 +262,7 @@ class TestThresholdFlagging:
             assert prob.meets_constraints(best.u, best.w)
             assert (best.u, best.w) == (3894, -1080)
         # once that neighbour reaches the threshold, the walk returns it
-        assert push_negative(base, prob, prob.decode_x(3894), step) == best
+        assert push_negative(base, prob, 3894, step) == best
 
 
     def test_far_threshold_is_reached(self):
@@ -269,6 +273,27 @@ class TestThresholdFlagging:
         assert w.threshold_reachable
         assert w.x <= -10**300
         assert w.report.all_passed
+
+    def test_witness_x_as_user_threshold(self):
+        # x <= thr is u <= r*thr + 2g-2: a reached witness's own x, given back
+        # as the threshold, is reached again by the same solution
+        cases = 0
+        for g, r, s in ((5, 2, 2), (7, 3, 2), (6, 1, 5), (9, 2, 3), (4, 1, 2)):
+            for sign in (1, -1):
+                q = FamilyQuery(g, r, s, sign)
+                for d in range(2, 201):
+                    if is_perfect_square(d) or not unit_square_roots(g, d):
+                        continue
+                    for oc in membership(q, d):
+                        w = oc.witness
+                        if w is None or not w.threshold_reachable:
+                            continue
+                        cases += 1
+                        again = {o.mu: o.witness for o in membership(q, d, x_threshold=w.x)}
+                        assert again[oc.mu] is not None, (q, d, oc.mu)
+                        assert again[oc.mu].threshold_reachable, (q, d, oc.mu)
+                        assert again[oc.mu].x == w.x, (q, d, oc.mu)
+        assert cases >= 100
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
@@ -285,6 +310,18 @@ class TestThresholdFlagging:
         assert w is not None
         assert w.threshold_reachable
         assert w.report.all_passed
+
+
+class TestDecode:
+    def test_decode_rejects_non_integral(self):
+        # g = 5, r = 2: u = 2x + 8, w = 2y; an odd u or an odd w decodes to no integer
+        q = q522(1)
+        assert _decode(q, PellSolution(10, 2)) == (1, 1)
+        assert _decode(q, PellSolution(-10, -2)) == (-9, -1)
+        with pytest.raises(K3WitnessError):
+            _decode(q, PellSolution(9, 2))
+        with pytest.raises(K3WitnessError):
+            _decode(q, PellSolution(10, 1))
 
 
 class TestWitnessChain:

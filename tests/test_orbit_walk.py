@@ -12,7 +12,7 @@ import pytest
 import k3witness.families
 import k3witness.pell
 from k3witness import FamilyQuery, ThresholdUnreachable, member, membership, witness_chain
-from k3witness.families import pell_problem
+from k3witness.families import _decode, pell_problem
 from k3witness.lattice import make_lattice
 from k3witness.pell import block_unit, push_negative
 
@@ -40,11 +40,13 @@ def reference_chain(query, d, count, x_threshold=None):
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
     step, _ = block_unit(problem)
-    cur = problem.solution(query.r * first.x + cfg.h_square, query.r * first.y)
+    r = query.r
+    cur = problem.solution(r * first.x + cfg.h_square, r * first.y)
     out = [(first.mu, first.x, first.y)]
     while len(out) < count:
-        cur = push_negative(cur, problem, problem.decode_x(cur.u) - 1, step)
-        out.append((first.mu, *problem.decode(cur)))
+        # x <= x_cur - 1 is u <= u_cur - r, as u = r*x + 2g-2
+        cur = push_negative(cur, problem, cur.u - r, step)
+        out.append((first.mu, *_decode(query, cur)))
     return out
 
 
@@ -65,9 +67,12 @@ def test_chain_stops_at_a_convex_minimum():
         with pytest.raises(ThresholdUnreachable) as exc_info:
             build(query, 17, 3, x_threshold=100000)
         assert exc_info.value.certified
-        assert "bounded below by 25" in str(exc_info.value)
         best = exc_info.value.best
         assert (best.u - 8) // 2 == 25  # u = 2x + 8 for g = 5, rank 2
+    # the walk bounds u; witness_chain states the bound in x
+    with pytest.raises(ThresholdUnreachable, match="^x on the orbit's w != 0 blocks "
+                       "is bounded below by 25$"):
+        witness_chain(query, 17, 3, x_threshold=100000)
 
 
 @pytest.fixture

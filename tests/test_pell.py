@@ -17,7 +17,7 @@ from k3witness import (
     push_negative,
     solve_bounded,
 )
-from k3witness.errors import K3WitnessError, SquareInput, ThresholdUnreachable
+from k3witness.errors import SquareInput, ThresholdUnreachable
 import k3witness.pell
 from k3witness.families import pell_problem, rhs_value
 from k3witness.pell import (
@@ -175,7 +175,7 @@ def block_orbit(problem, hit, box):
 class TestConstrained:
     def _reached(self, prob):
         return {
-            prob.decode(PellSolution(u, w))
+            (u, w)
             for hit in constrained_orbit_hits(prob)
             for (u, w) in block_orbit(prob, hit, 10**4)
         }
@@ -183,12 +183,12 @@ class TestConstrained:
     def test_plus_family_seed(self):
         cfg = make_lattice(5, 17, 1)
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, 1))
-        assert (1, 1) in self._reached(prob)
+        assert (10, 2) in self._reached(prob)  # (x, y) = (1, 1): u = 2x + 8, w = 2y
 
     def test_minus_family_seed(self):
         cfg = make_lattice(5, 17, 1)
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, -1))
-        assert (-7, 1) in self._reached(prob)
+        assert (-6, 2) in self._reached(prob)  # (x, y) = (-7, 1)
 
     def test_certified_empty(self):
         # u^2 - 2w^2 = 1 forces u odd, so u = 0 mod 2 is impossible
@@ -240,17 +240,14 @@ class TestConstrained:
         with pytest.raises(ValueError):
             PellProblem(17, 0)
 
-    def test_decode_rejects_non_integral(self):
-        # u = 2x + 1, w = 2y: an even u or an odd w decodes to no integer
-        prob = PellProblem(17, 8, u_shift=1, scale=2)
-        assert prob.decode(PellSolution(5, 2)) == (2, 1)
-        with pytest.raises(K3WitnessError):
-            prob.decode_x(4)
-        with pytest.raises(K3WitnessError):
-            prob.decode(PellSolution(5, 1))
+    def test_solutions_order_by_u_then_w(self):
+        assert PellSolution(-10, 5) < PellSolution(-9, -7) < PellSolution(-9, 2)
+        assert min(PellSolution(3, 1), PellSolution(3, -1)) == PellSolution(3, -1)
 
 
 class TestPushNegative:
+    # thresholds are in u; for (5, 2, 2) u = 2x + 8, so x <= t is u <= 2t + 8
+
     def _plus_problem(self):
         cfg = make_lattice(5, 17, 1)
         return pell_problem(cfg, FamilyQuery(5, 2, 2, 1))
@@ -259,36 +256,36 @@ class TestPushNegative:
         prob = self._plus_problem()
         # (x, y) = (-9, -1), i.e. (u, w) = (-10, -2), sits at the threshold
         sol = prob.solution(-10, -2)
-        pushed = push_negative(sol, prob, -9, block_unit(prob)[0])
-        assert prob.decode_x(pushed.u) <= -9
+        pushed = push_negative(sol, prob, -10, block_unit(prob)[0])
+        assert pushed == sol
         assert prob.meets_constraints(pushed.u, pushed.w)
 
     def test_walks_down_from_above(self):
         prob = self._plus_problem()
         sol = prob.solution(-10, -2)
-        pushed = push_negative(sol, prob, -100, block_unit(prob)[0])
-        assert prob.decode_x(pushed.u) <= -100
+        pushed = push_negative(sol, prob, -192, block_unit(prob)[0])  # x <= -100
+        assert pushed.u <= -192
         assert prob.residual(pushed.u, pushed.w) == 0
 
     def test_already_satisfied_returns_start(self):
         prob = self._plus_problem()
         sol = prob.solution(10, 2)  # x = 1
-        assert push_negative(sol, prob, 1, block_unit(prob)[0]) == sol
+        assert push_negative(sol, prob, 10, block_unit(prob)[0]) == sol
 
     def test_certified_unreachable(self):
         # rhs > 0 with every constrained class on a positive-u orbit
         cfg = make_lattice(4, 13, 1)
         prob = pell_problem(cfg, FamilyQuery(4, 3, 1, 1))
-        sol = prob.solution(33, 9)  # (x, y) = (9, 3)
+        sol = prob.solution(33, 9)  # (x, y) = (9, 3); u = 3x + 6
         with pytest.raises(ThresholdUnreachable) as exc_info:
-            push_negative(sol, prob, -4, block_unit(prob)[0])
+            push_negative(sol, prob, -6, block_unit(prob)[0])  # x <= -4
         assert exc_info.value.certified
         assert exc_info.value.best is not None
 
     def test_rejects_non_solution(self):
         prob = self._plus_problem()
         with pytest.raises(ValueError):
-            push_negative(PellSolution(11, 2), prob, -9, block_unit(prob)[0])
+            push_negative(PellSolution(11, 2), prob, -10, block_unit(prob)[0])
 
 
 class TestThresholdDefault:
