@@ -35,6 +35,10 @@ u > 0 and D.H is bounded below, so the threshold is provably unreachable.
 Membership still holds (it is defined by the equation above); the witness
 then carries the orbit minimum with ``threshold_reachable=False`` and check
 (e) records the obstruction instead of silently dropping the determinant.
+For rhs > 0, u^2 = rhs + d*w^2 > 0 keeps the sign of u on an orbit: a u < 0
+orbit reaches every threshold, a u > 0 one none below 0, so under a u
+threshold below 0 the u > 0 orbits are walked only when no u < 0 one exists.
+``member`` stops at the first mu that reaches; ``membership`` decides every mu.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DegenerateQuery,
@@ -302,17 +306,8 @@ def _build_witness(
     )
 
 
-def membership(
-    query: FamilyQuery,
-    d: int,
-    *,
-    x_threshold: Optional[int] = None,
-) -> list[MuOutcome]:
-    """Membership of d decided separately for every admissible mu.
-
-    Raises ``SquareDiscriminant`` for square d, ``NoValidMu`` when d has no
-    unit square root mod 4(g-1), and ``DegenerateQuery`` for g = r*s.
-    """
+def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iterator[MuOutcome]:
+    """The one per-mu loop: each admissible mu's outcome, built when asked for."""
     _require_length(query)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -324,18 +319,20 @@ def membership(
     thr = _resolve_threshold(query, x_threshold)
     u_thr = query.r * thr + 2 * (query.g - 1)
     rhs = rhs_value(query)
-    outcomes: list[MuOutcome] = []
     for mu in mus:
         if rhs == 0:
             # u^2 = d*w^2 with w != 0 forces square d; empty for every mu
-            outcomes.append(MuOutcome(mu, None, 0))
+            yield MuOutcome(mu, None, 0)
             continue
         cfg = make_lattice(query.g, d, mu)
         problem = pell_problem(cfg, query)
         hits = constrained_orbit_hits(problem)
         if not hits:
-            outcomes.append(MuOutcome(mu, None, residue_period(problem)))
+            yield MuOutcome(mu, None, residue_period(problem))
             continue
+        if rhs > 0 and u_thr < 0:
+            # the sign of u decides the orbit (module docstring)
+            hits = [h for h in hits if h.u < 0] or hits
         step, period = block_unit(problem)
         reached: list[tuple[PellSolution, PellSolution]] = []
         bounded: list[tuple[PellSolution, PellSolution]] = []
@@ -349,8 +346,21 @@ def membership(
         key = itemgetter(0)
         sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
         witness = _build_witness(query, cfg, sol, seed, thr, bool(reached))
-        outcomes.append(MuOutcome(mu, witness, period))
-    return outcomes
+        yield MuOutcome(mu, witness, period)
+
+
+def membership(
+    query: FamilyQuery,
+    d: int,
+    *,
+    x_threshold: Optional[int] = None,
+) -> list[MuOutcome]:
+    """Membership of d decided separately for every admissible mu.
+
+    Raises ``SquareDiscriminant`` for square d, ``NoValidMu`` when d has no
+    unit square root mod 4(g-1), and ``DegenerateQuery`` for g = r*s.
+    """
+    return list(_mu_outcomes(query, d, x_threshold))
 
 
 def member(
@@ -363,17 +373,22 @@ def member(
 
     Prefers a witness whose D.H reached the negativity threshold; falls back
     to a threshold-flagged witness when every constrained orbit is bounded.
+    Stops at the first mu whose witness reaches; raises as ``membership``.
     """
-    return preferred_witness(membership(query, d, x_threshold=x_threshold))
+    return preferred_witness(_mu_outcomes(query, d, x_threshold))
 
 
-def preferred_witness(outcomes: list[MuOutcome]) -> Optional[Witness]:
-    """The first witness that reached the threshold, else the first flagged one."""
-    witnesses = [oc.witness for oc in outcomes if oc.witness is not None]
-    for w in witnesses:
-        if w.threshold_reachable:
+def preferred_witness(outcomes: Iterable[MuOutcome]) -> Optional[Witness]:
+    """The first witness that reached the threshold, else the first flagged one
+    (``outcomes`` is read lazily, up to the first that reached)."""
+    flagged: Optional[Witness] = None
+    for oc in outcomes:
+        w = oc.witness
+        if w is not None and w.threshold_reachable:
             return w
-    return witnesses[0] if witnesses else None
+        if flagged is None:
+            flagged = w
+    return flagged
 
 
 def enumerate_family(

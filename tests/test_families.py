@@ -52,6 +52,13 @@ class TestMember:
         assert w.report.all_passed
         assert (2 * w.x + 8) ** 2 - 17 * (2 * w.y) ** 2 == -32
 
+    def test_large_genus_reference_query(self):
+        # the first mu reaches, so member walks no other mu (about 1 s; 20 s when
+        # every mu was walked)
+        w = member(FamilyQuery(800, 1, 1, 1), 3205)
+        assert (w.x, w.y, w.mu, w.threshold_reachable) == (-3205, -3, 3, True)
+        assert w.report.all_passed
+
     def test_square_discriminant(self):
         with pytest.raises(SquareDiscriminant):
             member(q522(1), 16)

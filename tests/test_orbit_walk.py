@@ -1,20 +1,40 @@
-"""The block-orbit walk: chains against a per-element reference, and how
-often the block unit q = unit^T is built.
+"""The block-orbit walk: chains and per-mu outcomes against references
+that push every orbit, and how often the block unit q = unit^T is built.
 
 ``witness_chain`` walks one orbit in one pass, a step of q per element.
 The reference below restarts ``push_negative`` at every element with the
 threshold one below the current x, which is how a chain was defined before
 the walk was shared; both must give the same witnesses.
+
+``membership`` skips the u > 0 orbits where the sign of u decides them (rhs
+> 0, u threshold < 0), and ``member`` stops at the first mu that reaches.
+``reference_outcomes`` pushes every constrained orbit of every mu; the
+answers must be the same.
 """
+
+import random
+from operator import itemgetter
 
 import pytest
 
 import k3witness.families
 import k3witness.pell
-from k3witness import FamilyQuery, ThresholdUnreachable, member, membership, witness_chain
-from k3witness.families import _decode, pell_problem
-from k3witness.lattice import make_lattice
-from k3witness.pell import block_unit, push_negative
+from k3witness import (
+    FamilyQuery,
+    ThresholdUnreachable,
+    default_x_threshold,
+    member,
+    membership,
+    witness_chain,
+)
+from k3witness.families import _decode, pell_problem, preferred_witness, rhs_value
+from k3witness.lattice import is_perfect_square, make_lattice, unit_square_roots
+from k3witness.pell import (
+    block_unit,
+    constrained_orbit_hits,
+    push_negative,
+    residue_period,
+)
 
 # (g, r, s, sign, tilde, d): the chain families of the benchmark deck
 # (perfbench/workloads.py), small-genus members with a reachable threshold
@@ -75,11 +95,96 @@ def test_chain_stops_at_a_convex_minimum():
         witness_chain(query, 17, 3, x_threshold=100000)
 
 
+def reference_outcomes(query, d, x_threshold=None):
+    """(mu, period, (x, y, seed, reachable)) per mu, every constrained orbit pushed."""
+    h2 = 2 * query.g - 2
+    thr = default_x_threshold(h2, query.r) if x_threshold is None else x_threshold
+    u_thr = query.r * thr + h2
+    rhs = rhs_value(query)
+    out = []
+    for mu in unit_square_roots(query.g, d):
+        if rhs == 0:
+            out.append((mu, 0, None))
+            continue
+        problem = pell_problem(make_lattice(query.g, d, mu), query)
+        hits = constrained_orbit_hits(problem)
+        if not hits:
+            out.append((mu, residue_period(problem), None))
+            continue
+        step, period = block_unit(problem)
+        reached, bounded = [], []
+        for hit in hits:
+            try:
+                reached.append((push_negative(hit, problem, u_thr, step), hit))
+            except ThresholdUnreachable as exc:
+                bounded.append((exc.best, hit))
+        key = itemgetter(0)
+        sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
+        out.append((mu, period, (*_decode(query, sol), _decode(query, seed), bool(reached))))
+    return out
+
+
+def _outcome_row(oc):
+    w = oc.witness
+    found = None if w is None else (w.x, w.y, w.seed, w.threshold_reachable)
+    return oc.mu, oc.residue_period, found
+
+
+def _equivalence_cases():
+    """A full small grid (d < 90) and a seeded draw of larger d and genus."""
+    thresholds = (None, -(10**6), 0, 7, 10**4)
+    for g in (3, 5, 7, 10, 12, 40):
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                for sign in (1, -1):
+                    if g > r * s:
+                        for d in range(2, 90):
+                            for thr in thresholds:
+                                yield FamilyQuery(g, r, s, sign), d, thr
+    rng = random.Random(23)
+    for _ in range(300):
+        r, s = rng.randint(1, 4), rng.randint(1, 4)
+        query = FamilyQuery(rng.randint(max(3, r * s + 1), 60), r, s, rng.choice((1, -1)))
+        admissible = [d for d in range(90, 600) if unit_square_roots(query.g, d)]
+        thr = rng.choice((None, rng.randint(-(10**4), 10**4)))
+        yield query, rng.choice(admissible), thr
+
+
+def test_outcomes_match_pushing_every_orbit():
+    kinds = {"sign_rule_on": 0, "rhs_negative": 0, "u_threshold_nonnegative": 0}
+    compared = 0
+    for query, d, thr in _equivalence_cases():
+        if is_perfect_square(d) or not unit_square_roots(query.g, d):
+            continue
+        outcomes = membership(query, d, x_threshold=thr)
+        assert [_outcome_row(oc) for oc in outcomes] == reference_outcomes(query, d, thr)
+        chosen = member(query, d, x_threshold=thr)
+        assert chosen == preferred_witness(outcomes)
+        # the rule: the first witness that reached, else the first flagged one
+        built = [oc.witness for oc in outcomes if oc.witness is not None]
+        reached = [w for w in built if w.threshold_reachable]
+        assert chosen == (reached or built or [None])[0]
+        compared += 1
+        h2 = 2 * query.g - 2
+        u_thr = query.r * (default_x_threshold(h2, query.r) if thr is None else thr) + h2
+        rhs = rhs_value(query)
+        if rhs < 0:
+            kinds["rhs_negative"] += 1
+        elif rhs > 0 and u_thr >= 0:
+            kinds["u_threshold_nonnegative"] += 1
+        elif rhs > 0 and reached:
+            kinds["sign_rule_on"] += 1
+    # every regime is exercised, so the sign rule is tested on and off
+    assert compared > 1500
+    assert min(kinds.values()) > 100, kinds
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every block_unit and orbit_step call, wherever it is made."""
-    calls = {"block_unit": [], "orbit_step": 0}
+    """Record every block_unit, orbit_step and push_negative call, wherever made."""
+    calls = {"block_unit": [], "orbit_step": 0, "push_negative": []}
     real_block_unit, real_orbit_step = k3witness.pell.block_unit, k3witness.pell.orbit_step
+    real_push_negative = k3witness.pell.push_negative
 
     def counting_block_unit(problem):
         calls["block_unit"].append(problem)
@@ -89,8 +194,13 @@ def counted(monkeypatch):
         calls["orbit_step"] += 1
         return real_orbit_step(*args)
 
+    def counting_push_negative(sol, *args):
+        calls["push_negative"].append(sol)
+        return real_push_negative(sol, *args)
+
     for module in (k3witness.pell, k3witness.families):
         monkeypatch.setattr(module, "block_unit", counting_block_unit)
+        monkeypatch.setattr(module, "push_negative", counting_push_negative)
     monkeypatch.setattr(k3witness.pell, "orbit_step", counting_orbit_step)
     return calls
 
@@ -100,6 +210,29 @@ def test_membership_builds_the_block_unit_once_per_mu(counted):
     built = counted["block_unit"]
     assert 0 < len(built) <= len(outcomes)
     assert len(set(built)) == len(built)
+
+
+def test_member_stops_at_the_first_mu_that_reaches(counted):
+    query = FamilyQuery(5, 2, 2, 1)
+    outcomes = membership(query, 17)
+    assert sum(oc.witness.threshold_reachable for oc in outcomes) == 2
+    counted["block_unit"].clear()
+    assert member(query, 17) == outcomes[0].witness
+    assert len(counted["block_unit"]) == 1
+
+
+def test_membership_pushes_only_the_u_negative_orbits(counted):
+    # rhs = 32 > 0 under the default threshold; every mu has orbits of both signs
+    query = FamilyQuery(5, 2, 2, 1)
+    hits = [
+        h
+        for mu in unit_square_roots(5, 17)
+        for h in constrained_orbit_hits(pell_problem(make_lattice(5, 17, mu), query))
+    ]
+    assert any(h.u > 0 for h in hits)
+    outcomes = membership(query, 17)
+    assert all(oc.witness.threshold_reachable for oc in outcomes)
+    assert counted["push_negative"] == [h for h in hits if h.u < 0]
 
 
 def test_chain_builds_the_block_unit_once_and_steps_once_per_element(counted):
