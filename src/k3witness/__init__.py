@@ -32,7 +32,6 @@ from .families import (
     member,
     membership,
     pell_problem,
-    verify_witness,
     witness_chain,
 )
 from .hilbert import HilbertClass, bb_square, hilbert_class

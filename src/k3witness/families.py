@@ -11,7 +11,7 @@ swapped family, of (s, H, r), is the family of the query (g, s, r, sign):
 the swap (r, H, s) -> (s, H, r) is ``mukai.reflect``.  A successful
 membership test returns a Witness carrying the divisors D and F = H + r*D
 (the solution (x, y) is read off D) and a report re-verifying every
-identity.  ``_verify_fields`` is the one checker; ``verify_witness``, the
+identity.  ``_verify_fields`` is the one checker; the witness builder, the
 CLI renderers and the ``hilbert`` command all take their values from it:
 
   (a) the Pell residual vanishes,
@@ -139,10 +139,6 @@ class VerificationReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
     @property
-    def all_passed(self) -> bool:
-        return not self.failed
-
-    @property
     def core_passed(self) -> bool:
         return all(c.passed for c in self.checks if c.name != THRESHOLD_CHECK)
 
@@ -258,12 +254,6 @@ def _verify_fields(
     checks.append(CheckOutcome("bb_square", q_val == q_target, q_target, q_val))
     checks.append(CheckOutcome("bb_pairing", f_res == 0, 0, f_res))
     return VerificationReport(tuple(checks))
-
-
-def verify_witness(w: Witness, query: FamilyQuery) -> VerificationReport:
-    """Recompute every identity of the witness from scratch."""
-    cfg = make_lattice(query.g, w.d, w.mu)
-    return _verify_fields(query, cfg, w.D, w.F, w.x_threshold)
 
 
 def default_x_threshold(h_square: int, rank: int) -> int:
@@ -475,18 +465,22 @@ def witness_chain(
     of the block unit each; ``count`` = 1 gives ``member``'s witness.  Raises
     a certified ``ThresholdUnreachable`` where a convex orbit bottoms out
     first: a first witness that is flagged unreachable is its orbit's
-    minimum, so the walk raises at the second block.
+    minimum, so the walk raises at the second block.  A first witness that
+    failed a core check is returned alone, with its report.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     first = member(query, d, x_threshold=x_threshold)
     if first is None:
         raise NoValidMu(f"d={d} is not a member for any admissible mu")
+    if not first.report.core_passed:
+        # the walk needs an exact start; from any other it may end in a false bound
+        return [first]
     cfg = make_lattice(query.g, d, first.mu)
     problem = pell_problem(cfg, query)
     step, _ = block_unit(problem)
     r = query.r
-    start = problem.solution(r * first.x + cfg.h_square, r * first.y)
+    start = PellSolution(r * first.x + cfg.h_square, r * first.y)
     chain = [first]  # the walk's first block is the first witness
     try:
         for sol in islice(_descend(start, problem, step), 1, count):

@@ -125,13 +125,6 @@ class Divisor:
         _require_same_lattice(self, other)
         return Divisor(self.x + other.x, self.y + other.y, self.config)
 
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        _require_same_lattice(self, other)
-        return Divisor(self.x - other.x, self.y - other.y, self.config)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(-self.x, -self.y, self.config)
-
     def __rmul__(self, k: int) -> "Divisor":
         return Divisor(k * self.x, k * self.y, self.config)
 

@@ -31,7 +31,9 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    moduli) is invertible of finite order T, so constraint satisfaction along
    an orbit is T-periodic: scanning one full period of every class
    representative decides emptiness outright, and walking in steps of T
-   ("blocks") moves along a constrained orbit.  M and T have one formula
+   ("blocks") moves along a constrained orbit.  The hits are exact by
+   construction (see ``constrained_orbit_hits``); on the search path only
+   ``push_negative`` checks u^2 - d*w^2 = N, on its input.  M and T have one formula
    each; the block unit q = unit^T is built by ``block_unit``, once per
    problem by the caller, who passes it down.  On each block-orbit the value u is
    A*q^j + B*q^(-j) with A*B = N, so u is convex, concave, or monotone in the
@@ -114,13 +116,6 @@ class PellProblem:
 
     def meets_constraints(self, u: int, w: int) -> bool:
         return all(c.holds(u, w) for c in self.constraints)
-
-    def solution(self, u: int, w: int) -> PellSolution:
-        if self.residual(u, w) != 0:
-            raise ValueError(
-                f"({_size(u)}, {_size(w)}) does not solve u^2 - {self.d}w^2 = {self.rhs}"
-            )
-        return PellSolution(u, w)
 
 
 def _pqa(d: int, P: int, Q: int):
@@ -411,8 +406,11 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
 
     Scans a full residue period of each class representative (and its
     negation); each phase k where the constraints hold mod M is realized
-    exactly as unit^k applied to the seed.  The result is empty iff the
-    constrained solution set is empty.
+    exactly as unit^k applied to the seed.  The hits are exact by
+    construction: the seed's norm was compared with rhs (or fixed by the
+    norm-(-1) unit) and scaled by f, unit^k has norm 1, and the constraints
+    were tested on the exact residues mod M; so they are returned unchecked.
+    The result is empty iff the constrained solution set is empty.
     """
     unit = fundamental_unit(problem.d)
     M, T = _modulus_and_period(problem)
@@ -434,10 +432,7 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
                 else:
                     hits.append(seed)
             a, b = (a * u0m + b * w0m * dm) % M, (a * w0m + b * u0m) % M
-    unique = dict.fromkeys((h.u, h.w) for h in hits)
-    out = [problem.solution(u, w) for (u, w) in unique]
-    out.sort(key=lambda p: (abs(p.w), p.u, p.w))
-    return tuple(out)
+    return tuple(sorted(dict.fromkeys(hits), key=lambda p: (abs(p.w), p.u, p.w)))
 
 
 def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -469,6 +470,29 @@ def test_failed_core_check_exits_one(monkeypatch, capsys, argv):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("internal check failure at d=17: ")
+
+
+@pytest.mark.parametrize("shift", [1, 2, 5])
+def test_defective_first_witness_exits_one(monkeypatch, capsys, shift):
+    # the chain walks from member's witness without checking it again; one
+    # that failed its report is an internal failure (1), not a usage error
+    # (2), nor a bound that a walk from a non-solution would report (3)
+    real_member = k3witness.families.member
+
+    def shifted(query, d, **kwargs):
+        w = real_member(query, d, **kwargs)
+        D = w.D + shift * w.D.config.H
+        F = w.D.config.H + query.r * D
+        report = _verify_fields(query, w.D.config, D, F, w.x_threshold)
+        return dataclasses.replace(w, D=D, F=F, report=report)
+
+    monkeypatch.setattr(k3witness.families, "member", shifted)
+    rc = run_cli("witness", "--g", "5", "--r", "2", "--s", "2", "--sign", "plus", "--d", "17",
+                 "--count", "3")
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failure at d=17: ('pell_residual'")
 
 
 def test_output_ignores_the_environment(monkeypatch, tmp_path, capsys):

@@ -11,8 +11,8 @@ from k3witness import (
     inner,
     make_lattice,
     member,
-    verify_witness,
 )
+from k3witness.families import _verify_fields
 from k3witness.hilbert import exceptional_coefficient
 
 
@@ -70,7 +70,8 @@ class TestBBPairing:
         q = FamilyQuery(5, 2, 2, 1)
         w = member(q, 17)
         assert (dot_H(w.F) - 2 * w.mu * w.y) % 8 == 0
-        assert verify_witness(w, q)["bb_pairing"].passed
+        rep = _verify_fields(q, make_lattice(q.g, w.d, w.mu), w.D, w.F, w.x_threshold)
+        assert rep["bb_pairing"].passed
 
 
 class TestCorollary:
@@ -79,7 +80,7 @@ class TestCorollary:
             for sign in (1, -1):
                 q = FamilyQuery(g, r, s, sign)
                 for w in enumerate_family(q, 150):
-                    report = verify_witness(w, q)
+                    report = _verify_fields(q, make_lattice(g, w.d, w.mu), w.D, w.F, w.x_threshold)
                     assert report["bb_square"].passed
                     assert report["bb_pairing"].passed
 
@@ -97,4 +98,5 @@ class TestCorollary:
 
         cfg = w.F.config
         bad = dataclasses.replace(w, F=w.F + cfg.H)
-        assert not verify_witness(bad, q)["bb_square"].passed
+        rep = _verify_fields(q, make_lattice(q.g, bad.d, bad.mu), bad.D, bad.F, bad.x_threshold)
+        assert not rep["bb_square"].passed

@@ -30,6 +30,8 @@ from k3witness import (
 from k3witness.families import _decode, pell_problem, preferred_witness, rhs_value
 from k3witness.lattice import is_perfect_square, make_lattice, unit_square_roots
 from k3witness.pell import (
+    PellProblem,
+    PellSolution,
     block_unit,
     constrained_orbit_hits,
     push_negative,
@@ -61,7 +63,7 @@ def reference_chain(query, d, count, x_threshold=None):
     problem = pell_problem(cfg, query)
     step, _ = block_unit(problem)
     r = query.r
-    cur = problem.solution(r * first.x + cfg.h_square, r * first.y)
+    cur = PellSolution(r * first.x + cfg.h_square, r * first.y)
     out = [(first.mu, first.x, first.y)]
     while len(out) < count:
         # x <= x_cur - 1 is u <= u_cur - r, as u = r*x + 2g-2
@@ -76,7 +78,7 @@ def test_chain_matches_per_element_pushes(g, r, s, sign, tilde, d):
     query = FamilyQuery(g, s, r, sign) if tilde else FamilyQuery(g, r, s, sign)
     chain = witness_chain(query, d, 60)
     assert [(w.mu, w.x, w.y) for w in chain] == reference_chain(query, d, 60)
-    assert all(w.report.all_passed for w in chain)
+    assert not any(w.report.failed for w in chain)
 
 
 def test_chain_stops_at_a_convex_minimum():
@@ -108,6 +110,9 @@ def reference_outcomes(query, d, x_threshold=None):
             continue
         problem = pell_problem(make_lattice(query.g, d, mu), query)
         hits = constrained_orbit_hits(problem)
+        # exact by construction: the search path does not check the hits again
+        for h in hits:
+            assert problem.residual(h.u, h.w) == 0 and problem.meets_constraints(h.u, h.w)
         if not hits:
             out.append((mu, residue_period(problem), None))
             continue
@@ -181,10 +186,11 @@ def test_outcomes_match_pushing_every_orbit():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every block_unit, orbit_step and push_negative call, wherever made."""
-    calls = {"block_unit": [], "orbit_step": 0, "push_negative": []}
+    """Record every block_unit, orbit_step, push_negative and PellProblem.residual
+    call, wherever made."""
+    calls = {"block_unit": [], "orbit_step": 0, "push_negative": [], "residual": 0}
     real_block_unit, real_orbit_step = k3witness.pell.block_unit, k3witness.pell.orbit_step
-    real_push_negative = k3witness.pell.push_negative
+    real_push_negative, real_residual = k3witness.pell.push_negative, PellProblem.residual
 
     def counting_block_unit(problem):
         calls["block_unit"].append(problem)
@@ -198,10 +204,15 @@ def counted(monkeypatch):
         calls["push_negative"].append(sol)
         return real_push_negative(sol, *args)
 
+    def counting_residual(self, u, w):
+        calls["residual"] += 1
+        return real_residual(self, u, w)
+
     for module in (k3witness.pell, k3witness.families):
         monkeypatch.setattr(module, "block_unit", counting_block_unit)
         monkeypatch.setattr(module, "push_negative", counting_push_negative)
     monkeypatch.setattr(k3witness.pell, "orbit_step", counting_orbit_step)
+    monkeypatch.setattr(PellProblem, "residual", counting_residual)
     return calls
 
 
@@ -233,6 +244,13 @@ def test_membership_pushes_only_the_u_negative_orbits(counted):
     outcomes = membership(query, 17)
     assert all(oc.witness.threshold_reachable for oc in outcomes)
     assert counted["push_negative"] == [h for h in hits if h.u < 0]
+
+
+def test_membership_checks_the_identity_once_per_push(counted):
+    # the hits are built exact; push_negative's input check is the only residual
+    membership(FamilyQuery(5, 2, 2, 1), 17)
+    assert counted["push_negative"]
+    assert counted["residual"] == len(counted["push_negative"])
 
 
 def test_chain_builds_the_block_unit_once_and_steps_once_per_element(counted):

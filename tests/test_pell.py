@@ -255,28 +255,28 @@ class TestPushNegative:
     def test_reaches_threshold(self):
         prob = self._plus_problem()
         # (x, y) = (-9, -1), i.e. (u, w) = (-10, -2), sits at the threshold
-        sol = prob.solution(-10, -2)
+        sol = PellSolution(-10, -2)
         pushed = push_negative(sol, prob, -10, block_unit(prob)[0])
         assert pushed == sol
         assert prob.meets_constraints(pushed.u, pushed.w)
 
     def test_walks_down_from_above(self):
         prob = self._plus_problem()
-        sol = prob.solution(-10, -2)
+        sol = PellSolution(-10, -2)
         pushed = push_negative(sol, prob, -192, block_unit(prob)[0])  # x <= -100
         assert pushed.u <= -192
         assert prob.residual(pushed.u, pushed.w) == 0
 
     def test_already_satisfied_returns_start(self):
         prob = self._plus_problem()
-        sol = prob.solution(10, 2)  # x = 1
+        sol = PellSolution(10, 2)  # x = 1
         assert push_negative(sol, prob, 10, block_unit(prob)[0]) == sol
 
     def test_certified_unreachable(self):
         # rhs > 0 with every constrained class on a positive-u orbit
         cfg = make_lattice(4, 13, 1)
         prob = pell_problem(cfg, FamilyQuery(4, 3, 1, 1))
-        sol = prob.solution(33, 9)  # (x, y) = (9, 3); u = 3x + 6
+        sol = PellSolution(33, 9)  # (x, y) = (9, 3); u = 3x + 6
         with pytest.raises(ThresholdUnreachable) as exc_info:
             push_negative(sol, prob, -6, block_unit(prob)[0])  # x <= -4
         assert exc_info.value.certified
