@@ -39,6 +39,13 @@ For rhs > 0, u^2 = rhs + d*w^2 > 0 keeps the sign of u on an orbit: a u < 0
 orbit reaches every threshold, a u > 0 one none below 0, so under a u
 threshold below 0 the u > 0 orbits are walked only when no u < 0 one exists.
 ``member`` stops at the first mu that reaches; ``membership`` decides every mu.
+
+Each mu's witness is the best push by the block unit q over the block
+orbits of every constrained coset (h, t): one per hit h_j = unit^(j*t) * h.
+Along j, u is convex (rhs > 0, u > 0), concave (rhs > 0, u < 0) or monotone
+(rhs < 0, rising iff w > 0), so ``_contenders`` pushes every hit of a convex
+coset (keeping its w = 0 tie), and otherwise walks up j only until u falls to
+the threshold (each later hit is its own, lower, push) or rises above it.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ from .lattice import (
 )
 from .mukai import MukaiVector, is_primitive, tensorize
 from .pell import (
+    FundamentalUnit,
     LinearCongruence,
     PellProblem,
     PellSolution,
@@ -76,8 +84,11 @@ from .pell import (
     _size,
     block_unit,
     constrained_orbit_hits,
+    fundamental_unit,
+    orbit_step,
     push_negative,
     residue_period,
+    unit_power,
 )
 
 THRESHOLD_CHECK = "dh_threshold"
@@ -296,6 +307,30 @@ def _build_witness(
     )
 
 
+def _contenders(problem: PellProblem, hit: PellSolution, fine: FundamentalUnit, blocks: int,
+                u_thr: int, step: FundamentalUnit) -> list[PellSolution]:
+    """The hits h_j = fine^j * hit, 0 <= j < blocks, whose push by ``step``
+    can win: the walk stops where every later push is below one kept."""
+    rising = problem.rhs < 0 and hit.w > 0  # w keeps its sign where rhs < 0
+    if rising and hit.u > u_thr:
+        # every hit lands below it: the winner's block orbit holds the first
+        # point below the threshold, found by the fine step
+        low = next(p for p in _descend(hit, problem, fine) if p.u <= u_thr)
+        while low.u < hit.u:
+            low = orbit_step(low, step, 1)
+        return [low]
+    convex = problem.rhs > 0 and hit.u > 0
+    kept: list[PellSolution] = []
+    for _ in range(blocks):
+        if rising and hit.u > u_thr:
+            break  # this and each later hit land below the last one kept
+        kept.append(hit)
+        if not convex and len(kept) > 1 and u_thr >= hit.u < kept[-2].u:
+            break  # u falls from here on: each later hit is its own, lower, push
+        hit = orbit_step(hit, fine, 1)
+    return kept
+
+
 def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iterator[MuOutcome]:
     """The one per-mu loop: each admissible mu's outcome, built when asked for."""
     _require_length(query)
@@ -322,19 +357,24 @@ def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iter
             continue
         if rhs > 0 and u_thr < 0:
             # the sign of u decides the orbit (module docstring)
-            hits = [h for h in hits if h.u < 0] or hits
+            hits = [h for h in hits if h[0].u < 0] or hits
         step, period = block_unit(problem)
+        fine: dict[int, FundamentalUnit] = {period: step}
         reached: list[tuple[PellSolution, PellSolution]] = []
         bounded: list[tuple[PellSolution, PellSolution]] = []
-        for hit in hits:
-            try:
-                reached.append((push_negative(hit, problem, u_thr, step), hit))
-            except ThresholdUnreachable as exc:
-                bounded.append((exc.best, hit))
-        # of all orbits that reach the threshold, stay closest to it; when
-        # none does, report the lowest orbit minimum; a tie keeps the first
-        key = itemgetter(0)
-        sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
+        for h, t in hits:
+            if t not in fine:
+                fine[t] = unit_power(fundamental_unit(d), t)
+            for hit in _contenders(problem, h, fine[t], period // t, u_thr, step):
+                try:
+                    reached.append((push_negative(hit, problem, u_thr, step), hit))
+                except ThresholdUnreachable as exc:
+                    bounded.append((exc.best, hit))
+        # of all orbits that reach the threshold, stay closest to it; when none
+        # does, report the lowest orbit minimum; a tie keeps the hit that comes
+        # first in (|w|, u, w) order, as the per-phase hits were sorted
+        pairs = sorted(reached or bounded, key=lambda p: (abs(p[1].w), p[1].u, p[1].w))
+        sol, seed = (max if reached else min)(pairs, key=itemgetter(0))
         witness = _build_witness(query, cfg, sol, seed, thr, bool(reached))
         yield MuOutcome(mu, witness, period)
 

@@ -31,18 +31,21 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    moduli) is invertible of finite order T, so constraint satisfaction along
    an orbit is T-periodic: scanning one full period of every class
    representative decides emptiness outright, and walking in steps of T
-   ("blocks") moves along a constrained orbit.  The hits are exact by
-   construction (see ``constrained_orbit_hits``); on the search path only
+   ("blocks") moves along a constrained orbit.  The constrained phases of a
+   seed orbit form a coset k0 + t*Z, t | T (checked per seed; t = 1 is
+   proven for u = mu*w (mod m) with mu^2 = d), so the scan returns one hit
+   per coset with its step exponent t.  The hits are exact by construction
+   (see ``constrained_orbit_hits``); on the search path only
    ``push_negative`` checks u^2 - d*w^2 = N, on its input.  M and T have one formula
    each; the block unit q = unit^T is built by ``block_unit``, once per
-   problem by the caller, who passes it down.  On each block-orbit the value u is
-   A*q^j + B*q^(-j) with A*B = N, so u is convex, concave, or monotone in the
-   block index j depending only on the signs of N and u.  The one walk,
-   ``_descend``, yields the w != 0 blocks with falling u, one step of q each
-   (w = 0 happens at most once per orbit, where u is extremal), and stops
-   with a certified minimum where a convex orbit bottoms out; every step
-   lowers u, so it needs no step cap.  ``push_negative`` and
-   ``families.witness_chain`` both use it.
+   problem by the caller, who passes it down.  Along the powers of a step
+   unit e the value u is A*e^j + B*e^(-j) with A*B = N, so u is convex,
+   concave, or monotone in j depending only on the signs of N and u.  The
+   one walk, ``_descend``, yields the w != 0 points with falling u, one step
+   each (w = 0 happens at most once per orbit, where u is extremal), and
+   stops with a certified minimum where a convex orbit bottoms out; every
+   step lowers u, so it needs no step cap.  ``push_negative`` and
+   ``families.witness_chain`` both use it with q, ``families`` also with t.
 
 This module speaks only (u, w), ordered as pairs.  A caller with its own
 coordinates (``families`` has x, y with u = r*x + 2g-2, w = r*y) states its
@@ -401,50 +404,62 @@ def _seeds(problem: PellProblem) -> list[PellSolution]:
     return [PellSolution(u, w) for (u, w) in seeds]
 
 
-def constrained_orbit_hits(problem: PellProblem) -> tuple[PellSolution, ...]:
-    """One exact solution for every constrained block-orbit.
+def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, int], ...]:
+    """One exact hit h and its step exponent t for every constrained orbit coset.
 
-    Scans a full residue period of each class representative (and its
-    negation); each phase k where the constraints hold mod M is realized
-    exactly as unit^k applied to the seed.  The hits are exact by
-    construction: the seed's norm was compared with rhs (or fixed by the
-    norm-(-1) unit) and scaled by f, unit^k has norm 1, and the constraints
-    were tested on the exact residues mod M; so they are returned unchecked.
-    The result is empty iff the constrained solution set is empty.
+    Scans a full residue period T of each class representative s (and its
+    negation) for the phases k where the constraints hold mod M.  Where they
+    are one coset k0 + t*Z (t the first gap, and T/t phases k0, k0 + t, ...),
+    the pair is (unit^k0 * s, t): the hits unit^(j*t) * h, 0 <= j < T/t,
+    start the coset's T/t block orbits.  Otherwise each phase k gives its own
+    pair (unit^k * s, T).  The hits are exact by construction: the seed's
+    norm was compared with rhs (or fixed by the norm-(-1) unit) and scaled by
+    f, unit^k has norm 1, and the constraints were tested on the exact
+    residues mod M; so they are returned unchecked.  The result is empty iff
+    the constrained solution set is empty.
     """
+    seeds = _seeds(problem)
+    if not seeds:
+        return ()
     unit = fundamental_unit(problem.d)
     M, T = _modulus_and_period(problem)
-    u0m, w0m, dm = unit.u0 % M, unit.w0 % M, problem.d % M
-    cons = [(c.a, c.b, c.c, c.modulus) for c in problem.constraints]
+    u0m, w0m, d = unit.u0 % M, unit.w0 % M, problem.d
+    es, fs = [1], [0]  # unit^k = es[k] + fs[k]*sqrt(d) (mod M)
+    for _ in range(T - 1):
+        e, f = es[-1], fs[-1]
+        es.append((e * u0m + f * w0m * d) % M)
+        fs.append((e * w0m + f * u0m) % M)
     powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
-    hits: list[PellSolution] = []
-    for seed in _seeds(problem):
-        a, b = seed.u % M, seed.w % M
-        for k in range(T):
-            for ca, cb, cc, cm in cons:
-                if (ca * a + cb * b - cc) % cm:
-                    break
-            else:
-                if k:
-                    if k not in powers:
-                        powers[k] = unit_power(unit, k)
-                    hits.append(orbit_step(seed, powers[k], 1))
-                else:
-                    hits.append(seed)
-            a, b = (a * u0m + b * w0m * dm) % M, (a * w0m + b * u0m) % M
-    return tuple(sorted(dict.fromkeys(hits), key=lambda p: (abs(p.w), p.u, p.w)))
+    hits: list[tuple[PellSolution, int]] = []
+    for seed in seeds:
+        phases = range(T)
+        for c in problem.constraints:
+            # a*u + b*w at unit^k * seed is p*es[k] + q*fs[k] (mod m)
+            m = c.modulus
+            p, q = (c.a * seed.u + c.b * seed.w) % m, (c.a * d * seed.w + c.b * seed.u) % m
+            phases = [k for k in phases if (p * es[k] + q * fs[k] - c.c) % m == 0]
+        if not phases:
+            continue
+        t = phases[1] - phases[0] if len(phases) > 1 else T
+        coset = len(phases) * t == T and phases == list(range(phases[0], T, t))
+        for k, step in [(phases[0], t)] if coset else [(k, T) for k in phases]:
+            if k and k not in powers:
+                powers[k] = unit_power(unit, k)
+            hits.append((orbit_step(seed, powers[k], 1) if k else seed, step))
+    return tuple(sorted(dict.fromkeys(hits), key=lambda p: (abs(p[0].w), p[0].u, p[0].w, p[1])))
 
 
 def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
-    """The w != 0 blocks of the constrained orbit of ``sol``, u falling.
+    """The w != 0 points of the orbit of ``sol`` under ``step``, u falling.
 
-    ``step`` is the problem's block unit q.  The first block is ``sol``, or
-    for w = 0 its lower neighbour; the walk heads to the lower neighbour
-    and keeps that direction, passing over a w = 0 block.  For rhs > 0 and
-    u > 0 the orbit is convex: where the next block does not lower u the
-    walk raises ``ThresholdUnreachable`` with that orbit minimum as
-    ``best``.  On any other orbit u falls at every step, and a step that
-    does not lower u raises ``RuntimeError``.
+    ``step`` preserves the constraints: the block unit q (one block per
+    point, as pushes and chains take it) or a coset's fine step unit^t.  The
+    first point is ``sol``, or for w = 0 its lower neighbour; the walk heads
+    to the lower neighbour and keeps that direction, passing over a w = 0
+    point.  For rhs > 0 and u > 0 the orbit is convex: where the next point
+    does not lower u the walk raises ``ThresholdUnreachable`` with that orbit
+    minimum as ``best``.  On any other orbit u falls at every step, and a
+    step that does not lower u raises ``RuntimeError``.
     """
 
     def off_axis(p: PellSolution) -> PellSolution:
@@ -472,11 +487,11 @@ def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
 def push_negative(
     sol: PellSolution, problem: PellProblem, u_threshold: int, step: FundamentalUnit
 ) -> PellSolution:
-    """First block on the constrained orbit of ``sol`` with w != 0 and
-    u <= u_threshold, walking by the block unit ``step`` (see
-    ``block_unit``).  Where a convex orbit bottoms out above the threshold,
-    raises ``ThresholdUnreachable`` with the orbit minimum as ``best`` (see
-    ``_descend``).
+    """First point on the orbit of ``sol`` under ``step`` with w != 0 and
+    u <= u_threshold; ``step`` is the block unit (see ``block_unit``) or a
+    coset's fine step.  Where a convex orbit bottoms out above the
+    threshold, raises ``ThresholdUnreachable`` with the orbit minimum as
+    ``best`` (see ``_descend``).
     """
     if problem.residual(sol.u, sol.w) != 0:
         raise ValueError("not a solution of the problem")

@@ -107,6 +107,23 @@ def _fixed() -> list[list[str]]:
         ["selfcheck", "--seed", "7", "--iterations", "3", "--xy-bound", "5"],
         ["selfcheck", "--iterations", "0", "--xy-bound", "5"],
     ]
+    # user thresholds where a hit beside the threshold wins, not the first
+    # point below it on each constrained orbit coset
+    for g, r, s, sign, d, thr in (
+        (3, 1, 2, "minus", 33, "10000"), (3, 1, 2, "minus", 57, "10000"),
+        (5, 1, 1, "plus", 33, "-1000000"), (5, 2, 2, "minus", 17, "10000"),
+        (5, 2, 2, "minus", 33, "10000"), (5, 2, 2, "minus", 57, "10000"),
+        (12, 1, 1, "minus", 5, "-1000000"), (12, 1, 1, "minus", 45, "-1000000"),
+        (12, 1, 3, "plus", 5, "-1000000"), (12, 1, 3, "plus", 45, "-1000000"),
+        (12, 1, 3, "minus", 53, "-1000000"), (12, 3, 3, "minus", 37, "10000"),
+    ):
+        cases.append(["member", "--g", str(g), "--r", str(r), "--s", str(s), "--sign", sign,
+                      "--d", str(d), "--x-threshold", thr])
+    # large genus, with block units of 21k to 81k bits
+    for g, d in ((800, 3205), (3000, 2077)):
+        for r in ("1", "2"):
+            query = ["--g", str(g), "--r", r, "--s", "1", "--sign", "plus", "--d", str(d)]
+            cases += [["member", *query], ["witness", *query, "--count", "1"]]
     return cases
 
 

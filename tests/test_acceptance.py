@@ -13,6 +13,7 @@ from math import isqrt
 
 import pytest
 
+import k3witness.families
 from k3witness import (
     FamilyQuery,
     MukaiVector,
@@ -28,8 +29,9 @@ from k3witness import (
     witness_chain,
 )
 from k3witness.hilbert import bb_square
-from k3witness.pell import PellSolution
+from k3witness.pell import PellSolution, constrained_orbit_hits
 from k3witness.selfcheck import _suite_isometries, _suite_lattice, verify_unit_minimal
+from test_orbit_walk import coset_check
 
 KNOWN_GENUS5_DS = {17, 33, 41, 57, 73, 89, 113, 129, 161, 177}
 
@@ -42,6 +44,12 @@ SWEEP_SHA256 = "91685b52961424d1bbcd1e8ad21f0a596315e4ef9fbaddc53275156cb1839de9
 ACCEPTANCE_LINES: list[str] = []
 
 
+@pytest.fixture(scope="module")
+def sweep_hits():
+    """(cosets, fallbacks, others) over the hits of every constrained scan of the sweep."""
+    return [0, 0, 0]
+
+
 def report(cid, detail):
     # echoed at the end of the run by the terminal-summary hook in conftest
     line = f"ACCEPTANCE C{cid} PASS: {detail}"
@@ -50,22 +58,30 @@ def report(cid, detail):
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(sweep_hits):
     """(grid point, query, witness) over the full acceptance grid, d <= 2000.
 
     A grid point is (g, r, s, sign, tilde); its tilde query swaps r and s.
     """
+    def checked_scan(problem):
+        hits = constrained_orbit_hits(problem)
+        for i, n in enumerate(coset_check(problem, hits)):
+            sweep_hits[i] += n
+        return hits
+
     items = []
-    for g in range(3, 13):
-        for r in range(1, 5):
-            for s in range(1, 5):
-                if g <= r * s:
-                    continue
-                for sign in (1, -1):
-                    for tilde in (False, True):
-                        q = FamilyQuery(g, s, r, sign) if tilde else FamilyQuery(g, r, s, sign)
-                        for w in enumerate_family(q, 2000):
-                            items.append(((g, r, s, sign, tilde), q, w))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(k3witness.families, "constrained_orbit_hits", checked_scan)
+        for g in range(3, 13):
+            for r in range(1, 5):
+                for s in range(1, 5):
+                    if g <= r * s:
+                        continue
+                    for sign in (1, -1):
+                        for tilde in (False, True):
+                            q = FamilyQuery(g, s, r, sign) if tilde else FamilyQuery(g, r, s, sign)
+                            for w in enumerate_family(q, 2000):
+                                items.append(((g, r, s, sign, tilde), q, w))
     return items
 
 
@@ -79,6 +95,13 @@ def test_sweep_digest(sweep):
         h.update(line.encode())
     assert len(sweep) == SWEEP_COUNT
     assert h.hexdigest() == SWEEP_SHA256
+
+
+def test_sweep_hits_start_cosets(sweep, sweep_hits):
+    # every hit of every scan starts a coset or falls back to a single phase;
+    # none has fallen back so far
+    cosets, fell_back, others = sweep_hits
+    assert cosets > 100000 and fell_back == others == 0  # 119,200 hits
 
 
 def test_criterion_1_genus5_determinant_list():

@@ -7,12 +7,15 @@ threshold one below the current x, which is how a chain was defined before
 the walk was shared; both must give the same witnesses.
 
 ``membership`` skips the u > 0 orbits where the sign of u decides them (rhs
-> 0, u threshold < 0), and ``member`` stops at the first mu that reaches.
-``reference_outcomes`` pushes every constrained orbit of every mu; the
-answers must be the same.
+> 0, u threshold < 0), ``member`` stops at the first mu that reaches, and
+of each constrained orbit coset only the hits that can win are pushed.
+``reference_outcomes`` builds every constrained phase of every seed orbit as
+a hit of its own and pushes them all; the answers must be the same.
 """
 
 import random
+import time
+from math import gcd, lcm
 from operator import itemgetter
 
 import pytest
@@ -33,7 +36,10 @@ from k3witness.pell import (
     PellProblem,
     PellSolution,
     block_unit,
+    class_representatives,
     constrained_orbit_hits,
+    fundamental_unit,
+    orbit_step,
     push_negative,
     residue_period,
 )
@@ -97,8 +103,53 @@ def test_chain_stops_at_a_convex_minimum():
         witness_chain(query, 17, 3, x_threshold=100000)
 
 
+def per_phase_hits(problem):
+    """Every constrained phase of every seed orbit as a hit of its own, sorted
+    by (|w|, u, w): one hit per block orbit, as the search once built them."""
+    unit = fundamental_unit(problem.d)
+    hits = {}
+    for rep in class_representatives(problem.d, problem.rhs):
+        for cur in (rep, PellSolution(-rep.u, -rep.w)):
+            for _ in range(residue_period(problem)):
+                if problem.meets_constraints(cur.u, cur.w):
+                    hits[cur] = None
+                cur = orbit_step(cur, unit, 1)
+    return sorted(hits, key=lambda p: (abs(p.w), p.u, p.w))
+
+
+def constrained_phases(problem, hit):
+    """The k in [0, T) where unit^k * hit meets the constraints, on residues mod M."""
+    unit, d = fundamental_unit(problem.d), problem.d
+    M = lcm(*(c.modulus for c in problem.constraints))
+    cons = [(c.a, c.b, c.c, c.modulus) for c in problem.constraints]
+    u, w = hit.u % M, hit.w % M
+    out = []
+    for k in range(residue_period(problem)):
+        if all((a * u + b * w - c) % m == 0 for a, b, c, m in cons):
+            out.append(k)
+        u, w = (u * unit.u0 + d * w * unit.w0) % M, (u * unit.w0 + w * unit.u0) % M
+    return out
+
+
+def coset_check(problem, hits):
+    """(cosets, fallbacks, others) over the hits of ``problem``: a hit with
+    step t starts the coset of phases tZ, or falls back to step T as one
+    phase of a phase set that is no coset."""
+    T = residue_period(problem)
+    counts = [0, 0, 0]
+    for hit, t in hits:
+        phases = constrained_phases(problem, hit)
+        if phases == list(range(0, T, t)):
+            counts[0] += 1
+        elif t == T and phases[0] == 0 and len(phases) * gcd(T, *phases) != T:
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    return tuple(counts)
+
+
 def reference_outcomes(query, d, x_threshold=None):
-    """(mu, period, (x, y, seed, reachable)) per mu, every constrained orbit pushed."""
+    """(mu, period, (x, y, seed, reachable)) per mu, every block orbit pushed."""
     h2 = 2 * query.g - 2
     thr = default_x_threshold(h2, query.r) if x_threshold is None else x_threshold
     u_thr = query.r * thr + h2
@@ -109,10 +160,7 @@ def reference_outcomes(query, d, x_threshold=None):
             out.append((mu, 0, None))
             continue
         problem = pell_problem(make_lattice(query.g, d, mu), query)
-        hits = constrained_orbit_hits(problem)
-        # exact by construction: the search path does not check the hits again
-        for h in hits:
-            assert problem.residual(h.u, h.w) == 0 and problem.meets_constraints(h.u, h.w)
+        hits = per_phase_hits(problem)
         if not hits:
             out.append((mu, residue_period(problem), None))
             continue
@@ -184,13 +232,103 @@ def test_outcomes_match_pushing_every_orbit():
     assert min(kinds.values()) > 100, kinds
 
 
+# (g, r, s, sign, d, x threshold, (mu, x, y) of the outcome that moves): user
+# thresholds under which walking only down from each coset's first hit gives
+# another answer than pushing every block orbit; a hit beside the threshold
+# (a flank of the hits above it) wins instead
+FLANK_CASES = (
+    (3, 1, 2, -1, 33, 10**4, (1, 243, 43)),
+    (3, 1, 2, -1, 57, 10**4, (3, 2193, 291)),
+    (5, 1, 1, 1, 33, -(10**6), (1, -1760929, -306537)),
+    (5, 2, 2, -1, 17, 10**4, (1, 2441, 593)),
+    (5, 2, 2, -1, 33, 10**4, (1, 243, 43)),
+    (5, 2, 2, -1, 57, 10**4, (3, 2193, 291)),
+    (12, 1, 1, -1, 5, -(10**6), (15, -1939726, -867462)),
+    (12, 1, 1, -1, 45, -(10**6), (1, -1939726, -289154)),
+    (12, 1, 3, 1, 5, -(10**6), (15, -1939726, -867462)),
+    (12, 1, 3, 1, 45, -(10**6), (1, -1939726, -289154)),
+    (12, 1, 3, -1, 53, -(10**6), (3, -4181688, -574396)),
+    (12, 3, 3, -1, 37, 10**4, (9, 4427, 729)),
+)
+
+
+@pytest.mark.parametrize(
+    "g, r, s, sign, d, thr, moved", FLANK_CASES, ids=lambda v: str(v).replace(" ", "")
+)
+def test_flank_hits_win(g, r, s, sign, d, thr, moved):
+    query = FamilyQuery(g, r, s, sign)
+    rows = [_outcome_row(oc) for oc in membership(query, d, x_threshold=thr)]
+    assert rows == reference_outcomes(query, d, thr)
+    mu, x, y = moved
+    assert [row[2][:2] for row in rows if row[0] == mu] == [(x, y)]
+
+
+def _problems_to_genus_3000(rng, count, ranks=(1, 2, 3)):
+    """(query, d, mu, problem) with g log-uniform in 3..3000, s <= 4 and an
+    admissible d <= 4g; the reference builds a hit per block orbit, so block
+    units stay small."""
+    while count:
+        g = round(3 * 1000 ** rng.random())
+        h2 = 2 * g - 2
+        mu = rng.randrange(1, h2, 2)
+        d = mu * mu % (2 * h2) + 2 * h2 * rng.randint(0, 1)
+        r, s = rng.choice(ranks), rng.randint(1, 4)
+        if g <= r * s or gcd(mu, h2) > 1 or is_perfect_square(d):
+            continue
+        query = FamilyQuery(g, r, s, rng.choice((1, -1)))
+        if rhs_value(query) == 0:
+            continue
+        problem = pell_problem(make_lattice(g, d, mu), query)
+        if residue_period(problem) * fundamental_unit(d).u0.bit_length() > 2048:
+            continue
+        yield query, d, mu, problem
+        count -= 1
+
+
+def test_outcomes_match_pushing_every_orbit_at_large_genus():
+    rng = random.Random(3000)
+    for query, d, _, _ in _problems_to_genus_3000(rng, 40):
+        thr = rng.choice((None, -(10**6), -50, 0, 7, 10**4, rng.randint(-(10**4), 10**4)))
+        rows = [_outcome_row(oc) for oc in membership(query, d, x_threshold=thr)]
+        assert rows == reference_outcomes(query, d, thr), (query, d, thr)
+
+
+def test_rank_one_cosets_step_by_the_unit():
+    # for r = 1 the map u + w*sqrt(d) -> u - mu*w mod 2g-2 is a ring map, so
+    # the constraint holds on every phase of a seed orbit or on none: t = 1
+    steps = set()
+    for _, _, _, problem in _problems_to_genus_3000(random.Random(1), 60, ranks=(1,)):
+        steps |= {t for _, t in constrained_orbit_hits(problem)}
+    assert steps == {1}
+
+
+def test_every_hit_starts_a_coset_or_falls_back():
+    hits = [
+        (p, constrained_orbit_hits(p))
+        for *_, p in _problems_to_genus_3000(random.Random(2), 60, ranks=(1, 2, 3, 4))
+    ]
+    checked = [coset_check(p, h) for p, h in hits]
+    # every seed orbit measured so far is one coset; the fallback is in test_pell
+    assert sum(c[0] for c in checked) == sum(len(h) for _, h in hits)
+    assert any(t > 1 for _, h in hits for _, t in h)
+
+
+def test_large_genus_member_is_fast():
+    # building and pushing a hit per block orbit took 4 to 6 s
+    start = time.perf_counter()
+    w = member(FamilyQuery(3000, 1, 1, 1), 2077)
+    assert time.perf_counter() - start < 1.0
+    assert (w.mu, w.x, w.y, w.threshold_reachable) == (2269, -13671, 105, True)
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Record every block_unit, orbit_step, push_negative and PellProblem.residual
-    call, wherever made."""
-    calls = {"block_unit": [], "orbit_step": 0, "push_negative": [], "residual": 0}
+    call, wherever made, and the number of hits of every constrained scan."""
+    calls = {"block_unit": [], "orbit_step": 0, "push_negative": [], "residual": 0, "hits": []}
     real_block_unit, real_orbit_step = k3witness.pell.block_unit, k3witness.pell.orbit_step
     real_push_negative, real_residual = k3witness.pell.push_negative, PellProblem.residual
+    real_hits = k3witness.pell.constrained_orbit_hits
 
     def counting_block_unit(problem):
         calls["block_unit"].append(problem)
@@ -208,10 +346,17 @@ def counted(monkeypatch):
         calls["residual"] += 1
         return real_residual(self, u, w)
 
+    def counting_hits(problem):
+        hits = real_hits(problem)
+        calls["hits"].append(len(hits))
+        return hits
+
     for module in (k3witness.pell, k3witness.families):
         monkeypatch.setattr(module, "block_unit", counting_block_unit)
         monkeypatch.setattr(module, "push_negative", counting_push_negative)
     monkeypatch.setattr(k3witness.pell, "orbit_step", counting_orbit_step)
+    monkeypatch.setattr(k3witness.families, "orbit_step", counting_orbit_step)
+    monkeypatch.setattr(k3witness.families, "constrained_orbit_hits", counting_hits)
     monkeypatch.setattr(PellProblem, "residual", counting_residual)
     return calls
 
@@ -238,12 +383,30 @@ def test_membership_pushes_only_the_u_negative_orbits(counted):
     hits = [
         h
         for mu in unit_square_roots(5, 17)
-        for h in constrained_orbit_hits(pell_problem(make_lattice(5, 17, mu), query))
+        for h in per_phase_hits(pell_problem(make_lattice(5, 17, mu), query))
     ]
     assert any(h.u > 0 for h in hits)
     outcomes = membership(query, 17)
     assert all(oc.witness.threshold_reachable for oc in outcomes)
+    # T = 2 and one coset per seed: both hits of each u < 0 coset can win
     assert counted["push_negative"] == [h for h in hits if h.u < 0]
+
+
+def test_membership_scans_one_hit_per_seed_and_pushes_few(counted):
+    query, d = FamilyQuery(40, 1, 1, 1), 133
+    problems = [pell_problem(make_lattice(40, d, mu), query) for mu in unit_square_roots(40, d)]
+    membership(query, d)
+    # one hit per seed orbit with a constrained phase, where T = 4 phases were built
+    seeds = set()
+    for rep in class_representatives(d, rhs_value(query)):
+        seeds |= {rep, PellSolution(-rep.u, -rep.w)}
+    per_mu = [sum(bool(constrained_phases(p, s)) for s in seeds) for p in problems]
+    assert counted["hits"] == per_mu == [28, 28, 28, 26]
+    phase_hits = [h for p in problems for h in per_phase_hits(p)]
+    assert len(phase_hits) == 398
+    # 110 pushes where all 199 u < 0 block orbits were pushed
+    assert len(counted["push_negative"]) == 110
+    assert set(counted["push_negative"]) <= {h for h in phase_hits if h.u < 0}
 
 
 def test_membership_checks_the_identity_once_per_push(counted):

@@ -157,13 +157,15 @@ class TestSolveBounded:
         assert list(reps) == sorted(reps, key=lambda p: (p.w, p.u))
 
 
-def block_orbit(problem, hit, box):
-    """Solutions within |u|, |w| <= box on the block orbit of ``hit``, both ways."""
-    step, _ = block_unit(problem)
+def coset_orbit(problem, hit, t, box):
+    """Solutions within |u|, |w| <= box on the orbit of ``hit`` under unit^t,
+    both ways; each one meets the constraints."""
+    step = unit_power(fundamental_unit(problem.d), t)
     covered = set()
     for direction in (1, -1):
         cur, grace = hit, 3
         while grace:
+            assert problem.meets_constraints(cur.u, cur.w)
             if abs(cur.u) <= box and abs(cur.w) <= box:
                 covered.add((cur.u, cur.w))
             else:
@@ -176,8 +178,8 @@ class TestConstrained:
     def _reached(self, prob):
         return {
             (u, w)
-            for hit in constrained_orbit_hits(prob)
-            for (u, w) in block_orbit(prob, hit, 10**4)
+            for hit, t in constrained_orbit_hits(prob)
+            for (u, w) in coset_orbit(prob, hit, t, 10**4)
         }
 
     def test_plus_family_seed(self):
@@ -219,9 +221,9 @@ class TestConstrained:
             if not hits:
                 assert not brute, (d, n, con)
             covered = set()
-            for hit in hits:
+            for hit, t in hits:
                 assert hit.u * hit.u - d * hit.w * hit.w == n and con.holds(hit.u, hit.w)
-                covered |= block_orbit(prob, hit, 2000)
+                covered |= coset_orbit(prob, hit, t, 2000)
             assert brute <= covered, (d, n, con, sorted(brute - covered)[:4])
 
     def test_period_preserves_constraints(self):
@@ -229,10 +231,23 @@ class TestConstrained:
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, 1))
         step, T = block_unit(prob)
         assert T == residue_period(prob)
-        for hit in constrained_orbit_hits(prob):
-            moved = orbit_step(hit, step, 1)
-            assert prob.meets_constraints(moved.u, moved.w)
-            assert prob.residual(moved.u, moved.w) == 0
+        for hit, t in constrained_orbit_hits(prob):
+            assert T % t == 0
+            for unit in (step, unit_power(fundamental_unit(17), t)):
+                moved = orbit_step(hit, unit, 1)
+                assert prob.meets_constraints(moved.u, moved.w)
+                assert prob.residual(moved.u, moved.w) == 0
+
+    def test_phases_that_are_no_coset_fall_back(self):
+        # u_k mod 5 along the orbit of (1, 0) under 3 + 2*sqrt(2) runs 1, 3, 2,
+        # 4, 2, 3 (T = 6): u = 2 holds at phases {2, 4}, which is no coset of
+        # 2Z, so each phase is its own hit with step T; likewise {1, 5} for (-1, 0)
+        prob = PellProblem(2, 1, (LinearCongruence(1, 0, 2, 5),))
+        assert residue_period(prob) == 6
+        hits = constrained_orbit_hits(prob)
+        assert hits == tuple(
+            (PellSolution(u, w), 6) for u, w in ((-3, -2), (17, 12), (577, 408), (-3363, -2378))
+        )
 
     def test_problem_validation(self):
         with pytest.raises(SquareInput):
@@ -336,7 +351,7 @@ def test_constrained_output_order_is_canonical():
     cfg = make_lattice(5, 17, 1)
     for sign in (1, -1):
         prob = pell_problem(cfg, FamilyQuery(5, 2, 2, sign))
-        key = [(abs(s.w), s.u, s.w) for s in constrained_orbit_hits(prob)]
+        key = [(abs(s.w), s.u, s.w) for s, _ in constrained_orbit_hits(prob)]
         assert key == sorted(key)
 
 
