@@ -54,7 +54,6 @@ from .mukai import (
 )
 from .pell import (
     FundamentalUnit,
-    LinearCongruence,
     PellProblem,
     PellSolution,
     block_unit,

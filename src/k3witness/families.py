@@ -77,7 +77,6 @@ from .lattice import (
 from .mukai import MukaiVector, is_primitive, tensorize
 from .pell import (
     FundamentalUnit,
-    LinearCongruence,
     PellProblem,
     PellSolution,
     _descend,
@@ -195,17 +194,12 @@ def rhs_value(query: FamilyQuery) -> int:
 def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
     """The constrained Pell problem whose solutions are the family witnesses.
 
-    Substitution u = r*x + 2(g-1), w = r*y.  The congruences w = 0
-    (mod r) and u - mu*w = 2(g-1) (mod r*(2g-2)) imply u = 2(g-1)
-    (mod r), so x, y are integers with x = mu*y mod 2g-2 (see ``_decode``).
+    Substitution u = r*x + 2(g-1), w = r*y.  The constraint w = 0 (mod r)
+    and u - mu*w = 2(g-1) (mod r*(2g-2)) implies u = 2(g-1) (mod r), so
+    x, y are integers with x = mu*y mod 2g-2 (see ``_decode``).
     """
-    r = query.r
     h2 = cfg.h_square
-    cons = []
-    if r > 1:
-        cons.append(LinearCongruence(0, 1, 0, r))
-    cons.append(LinearCongruence(1, -cfg.mu, h2, r * h2))
-    return PellProblem(cfg.d, rhs_value(query), tuple(cons))
+    return PellProblem(cfg.d, rhs_value(query), h2, cfg.mu, query.r, h2)
 
 
 def _decode(query: FamilyQuery, sol: PellSolution) -> tuple[int, int]:
@@ -360,16 +354,21 @@ def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iter
             hits = [h for h in hits if h[0].u < 0] or hits
         step, period = block_unit(problem)
         fine: dict[int, FundamentalUnit] = {period: step}
-        reached: list[tuple[PellSolution, PellSolution]] = []
-        bounded: list[tuple[PellSolution, PellSolution]] = []
-        for h, t in hits:
+        for _, t in hits:
             if t not in fine:
                 fine[t] = unit_power(fundamental_unit(d), t)
-            for hit in _contenders(problem, h, fine[t], period // t, u_thr, step):
-                try:
-                    reached.append((push_negative(hit, problem, u_thr, step), hit))
-                except ThresholdUnreachable as exc:
-                    bounded.append((exc.best, hit))
+        # two cosets can share a hit (two seeds on one unit orbit): push it once
+        contenders = dict.fromkeys(
+            hit for h, t in hits
+            for hit in _contenders(problem, h, fine[t], period // t, u_thr, step)
+        )
+        reached: list[tuple[PellSolution, PellSolution]] = []
+        bounded: list[tuple[PellSolution, PellSolution]] = []
+        for hit in contenders:
+            try:
+                reached.append((push_negative(hit, problem, u_thr, step), hit))
+            except ThresholdUnreachable as exc:
+                bounded.append((exc.best, hit))
         # of all orbits that reach the threshold, stay closest to it; when none
         # does, report the lowest orbit minimum; a tie keeps the hit that comes
         # first in (|w|, u, w) order, as the per-phase hits were sorted

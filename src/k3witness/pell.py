@@ -1,4 +1,4 @@
-"""Pell-type equations u^2 - d*w^2 = N with linear residue constraints.
+"""Pell-type equations u^2 - d*w^2 = N with one residue constraint.
 
 Everything is exact integer arithmetic.  One continued-fraction expansion,
 the private generator ``_pqa`` (Robertson's PQa recurrences on the quadratic
@@ -26,26 +26,33 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    (N > 0) or 2*d*w^2 <= -N*(u0+1) (N < 0), which contains a
    representative of every class.
 
-3. Decidable constrained search.  A ``PellProblem`` adds congruences
-   a*u + b*w = c (mod m).  The unit action on (u, w) mod M (M = lcm of the
-   moduli) is invertible of finite order T, so constraint satisfaction along
-   an orbit is T-periodic: scanning one full period of every class
-   representative decides emptiness outright, and walking in steps of T
-   ("blocks") moves along a constrained orbit.  The constrained phases of a
-   seed orbit form a coset k0 + t*Z, t | T (checked per seed; t = 1 is
-   proven for u = mu*w (mod m) with mu^2 = d), so the scan returns one hit
-   per coset with its step exponent t.  The hits are exact by construction
-   (see ``constrained_orbit_hits``); on the search path only
-   ``push_negative`` checks u^2 - d*w^2 = N, on its input.  M and T have one formula
-   each; the block unit q = unit^T is built by ``block_unit``, once per
-   problem by the caller, who passes it down.  Along the powers of a step
-   unit e the value u is A*e^j + B*e^(-j) with A*B = N, so u is convex,
-   concave, or monotone in j depending only on the signs of N and u.  The
-   one walk, ``_descend``, yields the w != 0 points with falling u, one step
-   each (w = 0 happens at most once per orbit, where u is extremal), and
-   stops with a certified minimum where a convex orbit bottoms out; every
-   step lowers u, so it needs no step cap.  ``push_negative`` and
-   ``families.witness_chain`` both use it with q, ``families`` also with t.
+3. Decidable constrained search.  A ``PellProblem`` asks for u + w*sqrt(d)
+   in C = c + r*a, where a = (h, mu + sqrt(d)) is the kernel of the ring
+   map Z[sqrt(d)] -> Z/h with sqrt(d) -> -mu (mu^2 = d mod h): that is,
+   w = 0 (mod r) and u - mu*w = c (mod r*h).  C is a union of classes mod
+   M = r*h, on which the unit acts invertibly with finite order T, so
+   constraint satisfaction along an orbit is T-periodic: scanning one full
+   period of every class representative decides emptiness outright, and
+   walking in steps of T ("blocks") moves along a constrained orbit.  The
+   constrained phases of a seed orbit form one coset k0 + t*Z, t | T.
+   Proof: let b, b*e^i and b*e^j lie in C, e the unit.  Then b*(e^i - 1)
+   and b*(e^j - 1) lie in the ideal r*a, and so does b*(e^(i+j) - 1) =
+   b*(e^i - 1)*e^j + b*(e^j - 1): the phases i of b are closed under
+   addition mod T, so they are a subgroup t*Z/T*Z.  Where r = 1 and c lies
+   in a (``families`` has c = h), C = a is an ideal and t = 1.  So the scan
+   returns one hit per coset with its step exponent t.  The hits are exact
+   by construction (see ``constrained_orbit_hits``); on the search path
+   only ``push_negative`` checks u^2 - d*w^2 = N, on its input.  M and T
+   have one formula each; the block unit q = unit^T is built by
+   ``block_unit``, once per problem by the caller, who passes it down.
+   Along the powers of a step unit e the value u is A*e^j + B*e^(-j) with
+   A*B = N, so u is convex, concave, or monotone in j depending only on
+   the signs of N and u.  The one walk, ``_descend``, yields the w != 0
+   points with falling u, one step each (w = 0 happens at most once per
+   orbit, where u is extremal), and stops with a certified minimum where a
+   convex orbit bottoms out; every step lowers u, so it needs no step cap.
+   ``push_negative`` and ``families.witness_chain`` both use it with q,
+   ``families`` also with t.
 
 This module speaks only (u, w), ordered as pairs.  A caller with its own
 coordinates (``families`` has x, y with u = r*x + 2g-2, w = r*y) states its
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import K3WitnessError, SquareInput, ThresholdUnreachable
 from .lattice import is_perfect_square
@@ -86,39 +93,33 @@ class PellSolution:
 
 
 @dataclass(frozen=True)
-class LinearCongruence:
-    """a*u + b*w = c (mod modulus)."""
-
-    a: int
-    b: int
-    c: int
-    modulus: int
-
-    def holds(self, u: int, w: int) -> bool:
-        return (self.a * u + self.b * w - self.c) % self.modulus == 0
-
-
-@dataclass(frozen=True)
 class PellProblem:
-    """u^2 - d*w^2 = rhs subject to residue constraints."""
+    """u^2 - d*w^2 = rhs with w = 0 (mod r) and u - mu*w = c (mod r*h), that
+    is u + w*sqrt(d) = c modulo r*(h, mu + sqrt(d)), an ideal as mu^2 = d
+    (mod h).  The defaults r = h = 1 leave the equation unconstrained."""
 
     d: int
     rhs: int
-    constraints: tuple[LinearCongruence, ...] = ()
+    c: int = 0
+    mu: int = 0
+    r: int = 1
+    h: int = 1
 
     def __post_init__(self):
         if self.d < 2 or is_perfect_square(self.d):
             raise SquareInput(f"d={self.d} must be a non-square >= 2")
         if self.rhs == 0:
             raise ValueError("right-hand side must be nonzero")
-        if any(c.modulus < 1 for c in self.constraints):
-            raise ValueError("constraint moduli must be >= 1")
+        if self.r < 1 or self.h < 1:
+            raise ValueError("r and h must be >= 1")
+        if (self.mu * self.mu - self.d) % self.h:
+            raise ValueError(f"mu={self.mu} is no square root of d={self.d} mod h={self.h}")
 
     def residual(self, u: int, w: int) -> int:
         return u * u - self.d * w * w - self.rhs
 
     def meets_constraints(self, u: int, w: int) -> bool:
-        return all(c.holds(u, w) for c in self.constraints)
+        return w % self.r == 0 and (u - self.mu * w - self.c) % (self.r * self.h) == 0
 
 
 def _pqa(d: int, P: int, Q: int):
@@ -359,38 +360,39 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
     )
 
 
+def _unit_powers_mod(d: int, a: int, b: int, M: int):
+    # unit^k = e + f*sqrt(d) (mod M), unit = a + b*sqrt(d), for k = 0, 1, ...
+    # until the powers return to 1: a norm-1 unit is invertible mod M
+    e, f = 1 % M, 0
+    while True:
+        yield e, f
+        e, f = (e * a + f * b * d) % M, (e * b + f * a) % M
+        if (e, f) == (1 % M, 0):
+            return
+
+
 @lru_cache(maxsize=None)
-def _unit_order_mod(d: int, u0_mod: int, w0_mod: int, M: int) -> int:
-    # multiplicative order of u0 + w0*sqrt(d) in Z[sqrt(d)]/M; a norm-1 unit
-    # is invertible mod M, so its powers return to 1 in the finite unit group
-    if M == 1:
-        return 1
-    a, b = u0_mod, w0_mod
-    cur = (a, b)
-    order = 1
-    while cur != (1, 0):
-        cur = ((cur[0] * a + cur[1] * b * d) % M, (cur[0] * b + cur[1] * a) % M)
-        order += 1
-    return order
+def _period(d: int, a: int, b: int, M: int) -> int:
+    return sum(1 for _ in _unit_powers_mod(d, a, b, M))
 
 
 def _modulus_and_period(problem: PellProblem) -> tuple[int, int]:
-    # M = lcm of the constraint moduli and the order T of the unit mod M
+    # M = r*h and the order T of the unit mod M
     unit = fundamental_unit(problem.d)
-    M = lcm(*(c.modulus for c in problem.constraints))
-    return M, _unit_order_mod(problem.d, unit.u0 % M, unit.w0 % M, M)
+    M = problem.r * problem.h
+    return M, _period(problem.d, unit.u0 % M, unit.w0 % M, M)
 
 
 def residue_period(problem: PellProblem) -> int:
-    """Order of the unit action on (u, w) mod lcm(constraint moduli)."""
+    """Order of the unit action on (u, w) mod r*h."""
     return _modulus_and_period(problem)[1]
 
 
 def block_unit(problem: PellProblem) -> tuple[FundamentalUnit, int]:
     """The block unit q = unit^T together with T, where T is the residue period.
 
-    Stepping by q preserves every constraint of the problem, so it moves
-    along constrained sub-orbits.
+    Stepping by q preserves the constraint, so it moves along constrained
+    sub-orbits.
     """
     T = residue_period(problem)
     return unit_power(fundamental_unit(problem.d), T), T
@@ -407,52 +409,49 @@ def _seeds(problem: PellProblem) -> list[PellSolution]:
 def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, int], ...]:
     """One exact hit h and its step exponent t for every constrained orbit coset.
 
-    Scans a full residue period T of each class representative s (and its
-    negation) for the phases k where the constraints hold mod M.  Where they
-    are one coset k0 + t*Z (t the first gap, and T/t phases k0, k0 + t, ...),
-    the pair is (unit^k0 * s, t): the hits unit^(j*t) * h, 0 <= j < T/t,
-    start the coset's T/t block orbits.  Otherwise each phase k gives its own
-    pair (unit^k * s, T).  The hits are exact by construction: the seed's
-    norm was compared with rhs (or fixed by the norm-(-1) unit) and scaled by
-    f, unit^k has norm 1, and the constraints were tested on the exact
-    residues mod M; so they are returned unchecked.  The result is empty iff
-    the constrained solution set is empty.
+    The phases k where unit^k * s meets the constraint mod M, s a class
+    representative or its negation, are one coset k0 + t*Z, t | T (module
+    docstring).  So each seed's scan of the unit's T powers mod M, built
+    once per problem, stops at its second phase k1: t = k1 - k0, or T if
+    k0 is the only one.  The pair is (unit^k0 * s, t): the hits
+    unit^(j*t) * h, 0 <= j < T/t, start the coset's T/t block orbits.  The
+    hits are exact by construction: the seed's norm was compared with rhs
+    (or fixed by the norm-(-1) unit) and scaled by f, unit^k has norm 1,
+    and the constraint was tested on the exact residues mod M; so they are
+    returned unchecked.  The result is empty iff the constrained solution
+    set is empty.
     """
     seeds = _seeds(problem)
     if not seeds:
         return ()
     unit = fundamental_unit(problem.d)
     M, T = _modulus_and_period(problem)
-    u0m, w0m, d = unit.u0 % M, unit.w0 % M, problem.d
-    es, fs = [1], [0]  # unit^k = es[k] + fs[k]*sqrt(d) (mod M)
-    for _ in range(T - 1):
-        e, f = es[-1], fs[-1]
-        es.append((e * u0m + f * w0m * d) % M)
-        fs.append((e * w0m + f * u0m) % M)
+    d, mu, r, c = problem.d, problem.mu, problem.r, problem.c
+    table = tuple(_unit_powers_mod(d, unit.u0 % M, unit.w0 % M, M))
     powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
     hits: list[tuple[PellSolution, int]] = []
     for seed in seeds:
-        phases = range(T)
-        for c in problem.constraints:
-            # a*u + b*w at unit^k * seed is p*es[k] + q*fs[k] (mod m)
-            m = c.modulus
-            p, q = (c.a * seed.u + c.b * seed.w) % m, (c.a * d * seed.w + c.b * seed.u) % m
-            phases = [k for k in phases if (p * es[k] + q * fs[k] - c.c) % m == 0]
-        if not phases:
+        # unit^k * seed has w = e*sw + f*su and u - mu*w = e*p + f*q (mod M)
+        su, sw = seed.u % M, seed.w % M
+        p, q = (su - mu * sw) % M, (d * sw - mu * su) % M
+        phases = (
+            k for k, (e, f) in enumerate(table)
+            if (e * sw + f * su) % r == 0 and (e * p + f * q - c) % M == 0
+        )
+        k0 = next(phases, None)
+        if k0 is None:
             continue
-        t = phases[1] - phases[0] if len(phases) > 1 else T
-        coset = len(phases) * t == T and phases == list(range(phases[0], T, t))
-        for k, step in [(phases[0], t)] if coset else [(k, T) for k in phases]:
-            if k and k not in powers:
-                powers[k] = unit_power(unit, k)
-            hits.append((orbit_step(seed, powers[k], 1) if k else seed, step))
+        t = next(phases, k0 + T) - k0
+        if k0 and k0 not in powers:
+            powers[k0] = unit_power(unit, k0)
+        hits.append((orbit_step(seed, powers[k0], 1) if k0 else seed, t))
     return tuple(sorted(dict.fromkeys(hits), key=lambda p: (abs(p[0].w), p[0].u, p[0].w, p[1])))
 
 
 def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
     """The w != 0 points of the orbit of ``sol`` under ``step``, u falling.
 
-    ``step`` preserves the constraints: the block unit q (one block per
+    ``step`` preserves the constraint: the block unit q (one block per
     point, as pushes and chains take it) or a coset's fine step unit^t.  The
     first point is ``sol``, or for w = 0 its lower neighbour; the walk heads
     to the lower neighbour and keeps that direction, passing over a w = 0

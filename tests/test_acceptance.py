@@ -46,8 +46,8 @@ ACCEPTANCE_LINES: list[str] = []
 
 @pytest.fixture(scope="module")
 def sweep_hits():
-    """(cosets, fallbacks, others) over the hits of every constrained scan of the sweep."""
-    return [0, 0, 0]
+    """(cosets, others) over the hits of every constrained scan of the sweep."""
+    return [0, 0]
 
 
 def report(cid, detail):
@@ -98,10 +98,9 @@ def test_sweep_digest(sweep):
 
 
 def test_sweep_hits_start_cosets(sweep, sweep_hits):
-    # every hit of every scan starts a coset or falls back to a single phase;
-    # none has fallen back so far
-    cosets, fell_back, others = sweep_hits
-    assert cosets > 100000 and fell_back == others == 0  # 119,200 hits
+    # every hit of every scan starts the coset of its phases
+    cosets, others = sweep_hits
+    assert cosets > 100000 and others == 0  # 119,200 hits
 
 
 def test_criterion_1_genus5_determinant_list():

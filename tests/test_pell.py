@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from k3witness import (
     FamilyQuery,
-    LinearCongruence,
     PellProblem,
     PellSolution,
     class_representatives,
@@ -194,7 +194,7 @@ class TestConstrained:
 
     def test_certified_empty(self):
         # u^2 - 2w^2 = 1 forces u odd, so u = 0 mod 2 is impossible
-        prob = PellProblem(2, 1, (LinearCongruence(1, 0, 0, 2),))
+        prob = PellProblem(2, 1, 0, 0, 1, 2)
         assert constrained_orbit_hits(prob) == ()
         assert residue_period(prob) >= 1
         assert class_representatives(2, 1)
@@ -202,29 +202,98 @@ class TestConstrained:
     def test_large_residue_period(self):
         # p = 2,000,003 = 3 (mod 8) is inert in Z[sqrt(2)]; the unit's order
         # mod p is p + 1, past any fixed step budget of a few million
-        prob = PellProblem(2, 1, (LinearCongruence(0, 1, 0, 2_000_003),))
+        prob = PellProblem(2, 1, 1, 0, 2_000_003, 1)
         assert residue_period(prob) == 2_000_004
+
+    def test_residue_period_keeps_no_table(self):
+        # p = 200,029 = 5 (mod 8) is inert too, with T = p + 1; a table of the
+        # unit's powers mod p would hold about 25 MB, the walk holds a few ints
+        prob = PellProblem(2, 1, 1, 0, 200_029, 1)
+        k3witness.pell._period.cache_clear()
+        tracemalloc.start()
+        try:
+            assert residue_period(prob) == 200_030
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_empty_matches_brute_force(self):
         rng = random.Random(99)
+        nonempty = 0
         for _ in range(150):
             d = rng.choice([2, 3, 5, 6, 7, 8, 10, 11, 13, 17, 19, 23])
             n = rng.choice([k for k in range(-30, 31) if k != 0])
-            con = LinearCongruence(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5), rng.randint(1, 9))
-            prob = PellProblem(d, n, (con,))
+            if rng.random() < 0.7:  # a norm, so that the bare equation is solvable
+                n = rng.randint(-9, 9) ** 2 - d * rng.randint(0, 3) ** 2 or n
+            h = rng.choice([m for m in range(1, 10) if any((z * z - d) % m == 0 for z in range(m))])
+            mu = rng.choice([z for z in range(h) if (z * z - d) % h == 0])
+            r = rng.randint(1, 3)
+            sols = [(u, w) for (u, w) in brute_solutions(d, n, 2000) if w % r == 0]
+            # half the draws take c from a solution, so that many are non-empty
+            if sols and rng.random() < 0.5:
+                u, w = rng.choice(sorted(sols))
+                c = (u - mu * w) % (r * h)
+            else:
+                c = rng.randrange(r * h)
+            prob = PellProblem(d, n, c, mu, r, h)
             hits = constrained_orbit_hits(prob)
             brute = {
                 (u, w)
                 for (u, w) in brute_solutions(d, n, 2000)
-                if con.holds(u, w)
+                if w % r == 0 and (u - mu * w - c) % (r * h) == 0
             }
             if not hits:
-                assert not brute, (d, n, con)
+                assert not brute, prob
+                continue
+            nonempty += 1
             covered = set()
             for hit, t in hits:
-                assert hit.u * hit.u - d * hit.w * hit.w == n and con.holds(hit.u, hit.w)
+                assert hit.u * hit.u - d * hit.w * hit.w == n and prob.meets_constraints(hit.u, hit.w)
                 covered |= coset_orbit(prob, hit, t, 2000)
-            assert brute <= covered, (d, n, con, sorted(brute - covered)[:4])
+            assert brute <= covered, (prob, sorted(brute - covered)[:4])
+        assert nonempty >= 60, nonempty
+
+    def test_constrained_phases_form_one_coset(self):
+        # the lemma of the module docstring: per seed, the phases k where
+        # unit^k * seed meets the constraint, scanned here on residues mod M,
+        # are one coset k0 + t*Z with t | T, and the hit is (unit^k0 * seed, t)
+        rng = random.Random(60000)
+        seen = {"t < T": 0, "k0 > 0": 0, "r > 1": 0}
+        for _ in range(300):
+            d = rng.choice(_NONSQUARE)
+            h = rng.randint(1, 40)
+            roots = [z for z in range(h) if (z * z - d) % h == 0]
+            if not roots:
+                continue
+            mu, r = rng.choice(roots), rng.randint(1, 3)
+            # n and c from a point (a, b) with r | b, so that most draws have phases
+            a, b = rng.randint(-20, 20), r * rng.randint(0, 2)
+            n = a * a - d * b * b
+            if n == 0:
+                continue
+            c = rng.choice([(a - mu * b) % (r * h), rng.randrange(r * h)])
+            prob = PellProblem(d, n, c, mu, r, h)
+            unit, M, T = fundamental_unit(d), r * h, residue_period(prob)
+            expected = set()
+            for rep in class_representatives(d, n):
+                for seed in (rep, PellSolution(-rep.u, -rep.w)):
+                    u, w, phases = seed.u % M, seed.w % M, []
+                    for k in range(T):
+                        if prob.meets_constraints(u, w):
+                            phases.append(k)
+                        u, w = (u * unit.u0 + d * w * unit.w0) % M, (u * unit.w0 + w * unit.u0) % M
+                    if not phases:
+                        continue
+                    k0 = phases[0]
+                    t = phases[1] - k0 if len(phases) > 1 else T
+                    assert T % t == 0 and phases == list(range(k0, T, t)), (prob, seed, phases)
+                    expected.add((orbit_step(seed, unit_power(unit, k0), 1), t))
+                    seen["t < T"] += t < T
+                    seen["k0 > 0"] += k0 > 0
+                    seen["r > 1"] += r > 1
+            assert set(constrained_orbit_hits(prob)) == expected, prob
+        assert min(seen.values()) >= 20, seen
 
     def test_period_preserves_constraints(self):
         cfg = make_lattice(5, 17, 1)
@@ -238,22 +307,19 @@ class TestConstrained:
                 assert prob.meets_constraints(moved.u, moved.w)
                 assert prob.residual(moved.u, moved.w) == 0
 
-    def test_phases_that_are_no_coset_fall_back(self):
-        # u_k mod 5 along the orbit of (1, 0) under 3 + 2*sqrt(2) runs 1, 3, 2,
-        # 4, 2, 3 (T = 6): u = 2 holds at phases {2, 4}, which is no coset of
-        # 2Z, so each phase is its own hit with step T; likewise {1, 5} for (-1, 0)
-        prob = PellProblem(2, 1, (LinearCongruence(1, 0, 2, 5),))
-        assert residue_period(prob) == 6
-        hits = constrained_orbit_hits(prob)
-        assert hits == tuple(
-            (PellSolution(u, w), 6) for u, w in ((-3, -2), (17, 12), (577, 408), (-3363, -2378))
-        )
-
     def test_problem_validation(self):
         with pytest.raises(SquareInput):
             PellProblem(4, 8)
         with pytest.raises(ValueError):
             PellProblem(17, 0)
+        for r, h in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(ValueError):
+                PellProblem(17, 8, 0, 0, r, h)
+        # u = 2 (mod 5) needs a square root mu of d = 2 mod 5, and there is none
+        for mu in range(5):
+            with pytest.raises(ValueError):
+                PellProblem(2, 1, 2, mu, 1, 5)
+        assert PellProblem(17, 8, 0, 2, 1, 13).meets_constraints(2, 1)
 
     def test_solutions_order_by_u_then_w(self):
         assert PellSolution(-10, 5) < PellSolution(-9, -7) < PellSolution(-9, 2)
