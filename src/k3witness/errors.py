@@ -5,6 +5,13 @@ so callers may catch either the specific class or plain ``ValueError``.
 """
 
 
+def short_int(n: int) -> str:
+    """``n`` in decimal up to 64 bits, else by sign and bit length: str() of
+    an int past the interpreter's digit limit raises."""
+    bits = n.bit_length()
+    return str(n) if bits <= 64 else f"<{'-' if n < 0 else '+'}{bits}-bit integer>"
+
+
 class K3WitnessError(ValueError):
     """Base class for every domain error raised by this package."""
 

@@ -30,29 +30,20 @@ works in (u, w) alone, and every x threshold is handed to it as the u
 threshold r*x + 2(g-1).  Since x is exact and strictly increasing in u, the
 two orders agree.
 
-Check (e) is special: for some queries every constrained solution class has
-u > 0 and D.H is bounded below, so the threshold is provably unreachable.
-Membership still holds (it is defined by the equation above); the witness
-then carries the orbit minimum with ``threshold_reachable=False`` and check
-(e) records the obstruction instead of silently dropping the determinant.
-For rhs > 0, u^2 = rhs + d*w^2 > 0 keeps the sign of u on an orbit: a u < 0
-orbit reaches every threshold, a u > 0 one none below 0, so under a u
-threshold below 0 the u > 0 orbits are walked only when no u < 0 one exists.
-``member`` stops at the first mu that reaches; ``membership`` decides every mu.
-
-Each mu's witness is the best push by the block unit q over the block
-orbits of every constrained coset (h, t): one per hit h_j = unit^(j*t) * h.
-Along j, u is convex (rhs > 0, u > 0), concave (rhs > 0, u < 0) or monotone
-(rhs < 0, rising iff w > 0), so ``_contenders`` pushes every hit of a convex
-coset (keeping its w = 0 tie), and otherwise walks up j only until u falls to
-the threshold (each later hit is its own, lower, push) or rises above it.
+Each mu's witness is ``pell.constrained_search``'s solution, decoded; the
+search and its walks live in ``pell``, and this module holds none.  Check (e)
+is special: for some queries every constrained solution class has u > 0 and
+D.H is bounded below, so the threshold is provably unreachable.  Membership
+still holds (it is defined by the equation above); the witness then carries
+the orbit minimum with ``threshold_reachable=False`` and check (e) records
+the obstruction instead of silently dropping the determinant.  ``member``
+stops at the first mu that reaches; ``membership`` decides every mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -62,6 +53,7 @@ from .errors import (
     NoValidMu,
     SquareDiscriminant,
     ThresholdUnreachable,
+    short_int,
 )
 from .hilbert import exceptional_coefficient
 from .lattice import (
@@ -75,20 +67,7 @@ from .lattice import (
     unit_square_roots,
 )
 from .mukai import MukaiVector, is_primitive, tensorize
-from .pell import (
-    FundamentalUnit,
-    PellProblem,
-    PellSolution,
-    _descend,
-    _size,
-    block_unit,
-    constrained_orbit_hits,
-    fundamental_unit,
-    orbit_step,
-    push_negative,
-    residue_period,
-    unit_power,
-)
+from .pell import PellProblem, PellSolution, block_descent, constrained_search
 
 THRESHOLD_CHECK = "dh_threshold"
 
@@ -207,7 +186,9 @@ def _decode(query: FamilyQuery, sol: PellSolution) -> tuple[int, int]:
     x, ru = divmod(sol.u - 2 * (query.g - 1), query.r)
     y, rw = divmod(sol.w, query.r)
     if ru or rw:
-        raise K3WitnessError(f"({_size(sol.u)}, {_size(sol.w)}) does not decode to integers x, y")
+        raise K3WitnessError(
+            f"({short_int(sol.u)}, {short_int(sol.w)}) does not decode to integers x, y"
+        )
     return x, y
 
 
@@ -280,9 +261,9 @@ def _resolve_threshold(query: FamilyQuery, x_threshold: Optional[int]) -> int:
 def _build_witness(
     query: FamilyQuery,
     cfg: LatticeConfig,
+    x_threshold: int,
     sol: PellSolution,
     seed: PellSolution,
-    x_threshold: int,
     reachable: bool,
 ) -> Witness:
     D = divisor(cfg, *_decode(query, sol))
@@ -299,30 +280,6 @@ def _build_witness(
         threshold_reachable=reachable,
         report=report,
     )
-
-
-def _contenders(problem: PellProblem, hit: PellSolution, fine: FundamentalUnit, blocks: int,
-                u_thr: int, step: FundamentalUnit) -> list[PellSolution]:
-    """The hits h_j = fine^j * hit, 0 <= j < blocks, whose push by ``step``
-    can win: the walk stops where every later push is below one kept."""
-    rising = problem.rhs < 0 and hit.w > 0  # w keeps its sign where rhs < 0
-    if rising and hit.u > u_thr:
-        # every hit lands below it: the winner's block orbit holds the first
-        # point below the threshold, found by the fine step
-        low = next(p for p in _descend(hit, problem, fine) if p.u <= u_thr)
-        while low.u < hit.u:
-            low = orbit_step(low, step, 1)
-        return [low]
-    convex = problem.rhs > 0 and hit.u > 0
-    kept: list[PellSolution] = []
-    for _ in range(blocks):
-        if rising and hit.u > u_thr:
-            break  # this and each later hit land below the last one kept
-        kept.append(hit)
-        if not convex and len(kept) > 1 and u_thr >= hit.u < kept[-2].u:
-            break  # u falls from here on: each later hit is its own, lower, push
-        hit = orbit_step(hit, fine, 1)
-    return kept
 
 
 def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iterator[MuOutcome]:
@@ -344,37 +301,8 @@ def _mu_outcomes(query: FamilyQuery, d: int, x_threshold: Optional[int]) -> Iter
             yield MuOutcome(mu, None, 0)
             continue
         cfg = make_lattice(query.g, d, mu)
-        problem = pell_problem(cfg, query)
-        hits = constrained_orbit_hits(problem)
-        if not hits:
-            yield MuOutcome(mu, None, residue_period(problem))
-            continue
-        if rhs > 0 and u_thr < 0:
-            # the sign of u decides the orbit (module docstring)
-            hits = [h for h in hits if h[0].u < 0] or hits
-        step, period = block_unit(problem)
-        fine: dict[int, FundamentalUnit] = {period: step}
-        for _, t in hits:
-            if t not in fine:
-                fine[t] = unit_power(fundamental_unit(d), t)
-        # two cosets can share a hit (two seeds on one unit orbit): push it once
-        contenders = dict.fromkeys(
-            hit for h, t in hits
-            for hit in _contenders(problem, h, fine[t], period // t, u_thr, step)
-        )
-        reached: list[tuple[PellSolution, PellSolution]] = []
-        bounded: list[tuple[PellSolution, PellSolution]] = []
-        for hit in contenders:
-            try:
-                reached.append((push_negative(hit, problem, u_thr, step), hit))
-            except ThresholdUnreachable as exc:
-                bounded.append((exc.best, hit))
-        # of all orbits that reach the threshold, stay closest to it; when none
-        # does, report the lowest orbit minimum; a tie keeps the hit that comes
-        # first in (|w|, u, w) order, as the per-phase hits were sorted
-        pairs = sorted(reached or bounded, key=lambda p: (abs(p[1].w), p[1].u, p[1].w))
-        sol, seed = (max if reached else min)(pairs, key=itemgetter(0))
-        witness = _build_witness(query, cfg, sol, seed, thr, bool(reached))
+        period, best = constrained_search(pell_problem(cfg, query), u_thr)
+        witness = None if best is None else _build_witness(query, cfg, thr, *best)
         yield MuOutcome(mu, witness, period)
 
 
@@ -516,17 +444,14 @@ def witness_chain(
         # the walk needs an exact start; from any other it may end in a false bound
         return [first]
     cfg = make_lattice(query.g, d, first.mu)
-    problem = pell_problem(cfg, query)
-    step, _ = block_unit(problem)
-    r = query.r
-    start = PellSolution(r * first.x + cfg.h_square, r * first.y)
+    start = PellSolution(query.r * first.x + cfg.h_square, query.r * first.y)
     chain = [first]  # the walk's first block is the first witness
     try:
-        for sol in islice(_descend(start, problem, step), 1, count):
-            chain.append(_build_witness(query, cfg, sol, sol, first.x_threshold, True))
+        for sol in islice(block_descent(pell_problem(cfg, query), start), 1, count):
+            chain.append(_build_witness(query, cfg, first.x_threshold, sol, sol, True))
     except ThresholdUnreachable as exc:
         x = _decode(query, exc.best)[0]
         raise ThresholdUnreachable(
-            f"x on the orbit's w != 0 blocks is bounded below by {_size(x)}", best=exc.best
+            f"x on the orbit's w != 0 blocks is bounded below by {short_int(x)}", best=exc.best
         ) from None
     return chain

@@ -42,17 +42,27 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    in a (``families`` has c = h), C = a is an ideal and t = 1.  So the scan
    returns one hit per coset with its step exponent t.  The hits are exact
    by construction (see ``constrained_orbit_hits``); on the search path
-   only ``push_negative`` checks u^2 - d*w^2 = N, on its input.  M and T
-   have one formula each; the block unit q = unit^T is built by
-   ``block_unit``, once per problem by the caller, who passes it down.
+   only ``push_negative`` checks u^2 - d*w^2 = N, on its input.
+
    Along the powers of a step unit e the value u is A*e^j + B*e^(-j) with
-   A*B = N, so u is convex, concave, or monotone in j depending only on
-   the signs of N and u.  The one walk, ``_descend``, yields the w != 0
-   points with falling u, one step each (w = 0 happens at most once per
-   orbit, where u is extremal), and stops with a certified minimum where a
-   convex orbit bottoms out; every step lowers u, so it needs no step cap.
-   ``push_negative`` and ``families.witness_chain`` both use it with q,
-   ``families`` also with t.
+   A*B = N: convex in j where N > 0 and u > 0, concave where N > 0 and
+   u < 0, monotone where N < 0 (rising iff w > 0).  The one walk,
+   ``_descend``, yields the w != 0 points with falling u, one step each
+   (w = 0 happens at most once per orbit, where u is extremal), and stops
+   with a certified minimum where a convex orbit bottoms out; every step
+   lowers u, so it needs no step cap.  ``block_descent`` walks it by the
+   block unit q = unit^T (``block_unit``), as does ``push_negative``.
+   ``constrained_search(problem, u_threshold)`` is the one search: it
+   returns T and the best push by q over the block orbits of every coset
+   (h, t), one per hit h_j = unit^(j*t) * h, that is the orbit closest to
+   the threshold among those that reach it, else the lowest orbit minimum.
+   For N > 0, u^2 = N + d*w^2 > 0 keeps the sign of u on an orbit: a u < 0
+   orbit reaches every threshold, a u > 0 one none below 0, so under a
+   threshold below 0 the u > 0 orbits are walked only when no u < 0 one
+   exists.  ``_contenders`` pushes every hit of a convex coset (keeping
+   its w = 0 tie), and otherwise walks up j, by the fine step unit^t, only
+   until u falls to the threshold (each later hit is its own, lower, push)
+   or rises above it.
 
 This module speaks only (u, w), ordered as pairs.  A caller with its own
 coordinates (``families`` has x, y with u = r*x + 2g-2, w = r*y) states its
@@ -64,15 +74,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import itemgetter
+from typing import Optional
 
-from .errors import K3WitnessError, SquareInput, ThresholdUnreachable
+from .errors import K3WitnessError, SquareInput, ThresholdUnreachable, short_int
 from .lattice import is_perfect_square
-
-
-def _size(n: int) -> str:
-    # long values by size only: str() of an int past the digit limit raises
-    bits = n.bit_length()
-    return str(n) if bits <= 64 else f"<{'-' if n < 0 else '+'}{bits}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -360,9 +366,11 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
     )
 
 
-def _unit_powers_mod(d: int, a: int, b: int, M: int):
-    # unit^k = e + f*sqrt(d) (mod M), unit = a + b*sqrt(d), for k = 0, 1, ...
-    # until the powers return to 1: a norm-1 unit is invertible mod M
+def _unit_powers_mod(d: int, M: int):
+    # unit^k = e + f*sqrt(d) (mod M) for k = 0, 1, ... until the powers
+    # return to 1: a norm-1 unit is invertible mod M
+    unit = fundamental_unit(d)
+    a, b = unit.u0 % M, unit.w0 % M
     e, f = 1 % M, 0
     while True:
         yield e, f
@@ -372,20 +380,13 @@ def _unit_powers_mod(d: int, a: int, b: int, M: int):
 
 
 @lru_cache(maxsize=None)
-def _period(d: int, a: int, b: int, M: int) -> int:
-    return sum(1 for _ in _unit_powers_mod(d, a, b, M))
-
-
-def _modulus_and_period(problem: PellProblem) -> tuple[int, int]:
-    # M = r*h and the order T of the unit mod M
-    unit = fundamental_unit(problem.d)
-    M = problem.r * problem.h
-    return M, _period(problem.d, unit.u0 % M, unit.w0 % M, M)
+def _period(d: int, M: int) -> int:
+    return sum(1 for _ in _unit_powers_mod(d, M))
 
 
 def residue_period(problem: PellProblem) -> int:
     """Order of the unit action on (u, w) mod r*h."""
-    return _modulus_and_period(problem)[1]
+    return _period(problem.d, problem.r * problem.h)
 
 
 def block_unit(problem: PellProblem) -> tuple[FundamentalUnit, int]:
@@ -425,9 +426,9 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
     if not seeds:
         return ()
     unit = fundamental_unit(problem.d)
-    M, T = _modulus_and_period(problem)
-    d, mu, r, c = problem.d, problem.mu, problem.r, problem.c
-    table = tuple(_unit_powers_mod(d, unit.u0 % M, unit.w0 % M, M))
+    d, mu, r, c, M = problem.d, problem.mu, problem.r, problem.c, problem.r * problem.h
+    table = tuple(_unit_powers_mod(d, M))
+    T = len(table)
     powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
     hits: list[tuple[PellSolution, int]] = []
     for seed in seeds:
@@ -475,7 +476,7 @@ def _descend(sol: PellSolution, problem: PellProblem, step: FundamentalUnit):
                 raise RuntimeError(f"u stopped falling on a non-convex orbit, d={problem.d}")
             best = off_axis(cur)
             raise ThresholdUnreachable(
-                f"u on the orbit's w != 0 blocks is bounded below by {_size(best.u)}",
+                f"u on the orbit's w != 0 blocks is bounded below by {short_int(best.u)}",
                 best=best,
             )
         cur, nxt = nxt, orbit_step(nxt, step, direction)
@@ -497,3 +498,69 @@ def push_negative(
     if not problem.meets_constraints(sol.u, sol.w):
         raise ValueError("solution does not satisfy the problem constraints")
     return next(p for p in _descend(sol, problem, step) if p.u <= u_threshold)
+
+
+def block_descent(problem: PellProblem, start: PellSolution):
+    """The w != 0 points of the block orbit of ``start``, u falling, one
+    block each (see ``_descend``); ``start`` meets the constraints."""
+    return _descend(start, problem, block_unit(problem)[0])
+
+
+def _contenders(problem: PellProblem, hit: PellSolution, fine: FundamentalUnit, blocks: int,
+                u_thr: int, step: FundamentalUnit) -> list[PellSolution]:
+    """The hits h_j = fine^j * hit, 0 <= j < blocks, whose push by ``step``
+    can win: the walk stops where every later push is below one kept."""
+    rising = problem.rhs < 0 and hit.w > 0  # w keeps its sign where rhs < 0
+    if rising and hit.u > u_thr:
+        # every hit lands below it: the winner's block orbit holds the first
+        # point below the threshold, found by the fine step
+        low = next(p for p in _descend(hit, problem, fine) if p.u <= u_thr)
+        while low.u < hit.u:
+            low = orbit_step(low, step, 1)
+        return [low]
+    convex = problem.rhs > 0 and hit.u > 0
+    kept: list[PellSolution] = []
+    for _ in range(blocks):
+        if rising and hit.u > u_thr:
+            break  # this and each later hit land below the last one kept
+        kept.append(hit)
+        if not convex and len(kept) > 1 and u_thr >= hit.u < kept[-2].u:
+            break  # u falls from here on: each later hit is its own, lower, push
+        hit = orbit_step(hit, fine, 1)
+    return kept
+
+
+def constrained_search(
+    problem: PellProblem, u_threshold: int
+) -> tuple[int, Optional[tuple[PellSolution, PellSolution, bool]]]:
+    """T, and the best push (solution, hit, reached) over every constrained
+    block orbit (module docstring), or None where the constrained
+    solution set is empty.  ``reached`` tells whether the solution has
+    u <= u_threshold; if not, it is the lowest orbit minimum."""
+    hits = constrained_orbit_hits(problem)
+    if not hits:
+        return residue_period(problem), None
+    if problem.rhs > 0 and u_threshold < 0:
+        # the sign of u decides the orbit
+        hits = [h for h in hits if h[0].u < 0] or hits
+    step, period = block_unit(problem)
+    steps = {t for _, t in hits} - {period}
+    fine = {t: unit_power(fundamental_unit(problem.d), t) for t in steps} | {period: step}
+    # two cosets can share a hit (two seeds on one unit orbit): push it once
+    contenders = dict.fromkeys(
+        hit for h, t in hits
+        for hit in _contenders(problem, h, fine[t], period // t, u_threshold, step)
+    )
+    reached: list[tuple[PellSolution, PellSolution]] = []
+    bounded: list[tuple[PellSolution, PellSolution]] = []
+    for hit in contenders:
+        try:
+            reached.append((push_negative(hit, problem, u_threshold, step), hit))
+        except ThresholdUnreachable as exc:
+            bounded.append((exc.best, hit))
+    # of all orbits that reach the threshold, stay closest to it; when none
+    # does, report the lowest orbit minimum; a tie keeps the hit that comes
+    # first in (|w|, u, w) order, as the per-phase hits were sorted
+    pairs = sorted(reached or bounded, key=lambda p: (abs(p[1].w), p[1].u, p[1].w))
+    sol, hit = (max if reached else min)(pairs, key=itemgetter(0))
+    return period, (sol, hit, bool(reached))

@@ -13,7 +13,7 @@ from math import isqrt
 
 import pytest
 
-import k3witness.families
+import k3witness.pell
 from k3witness import (
     FamilyQuery,
     MukaiVector,
@@ -71,7 +71,7 @@ def sweep(sweep_hits):
 
     items = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(k3witness.families, "constrained_orbit_hits", checked_scan)
+        mp.setattr(k3witness.pell, "constrained_orbit_hits", checked_scan)
         for g in range(3, 13):
             for r in range(1, 5):
                 for s in range(1, 5):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import sys
 
@@ -24,6 +25,7 @@ from k3witness import (
     push_negative,
     witness_chain,
 )
+import k3witness.families
 from k3witness.cli import main
 from k3witness.families import _decode, _verify_fields
 from k3witness.lattice import is_perfect_square, make_lattice, unit_square_roots
@@ -379,3 +381,18 @@ class TestQueryValidation:
             ws = enumerate_family(q, 200)
             assert ws
             assert all(w.F == w.D.config.H + r * w.D for w in ws)
+
+
+def test_families_takes_only_the_search_from_pell():
+    # the constrained search and its walks live in pell: families imports the
+    # two types, the search and the block descent, and no module object
+    with open(k3witness.families.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "pell":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            taken |= {a.name for a in node.names if a.name.rpartition(".")[2] == "pell"}
+    allowed = {"PellProblem", "PellSolution", "constrained_search", "block_descent"}
+    assert taken and taken <= allowed, sorted(taken - allowed)

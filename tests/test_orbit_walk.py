@@ -9,8 +9,9 @@ the walk was shared; both must give the same witnesses.
 ``membership`` skips the u > 0 orbits where the sign of u decides them (rhs
 > 0, u threshold < 0), ``member`` stops at the first mu that reaches, and
 of each constrained orbit coset only the hits that can win are pushed.
-``reference_outcomes`` builds every constrained phase of every seed orbit as
-a hit of its own and pushes them all; the answers must be the same.
+``reference_search`` builds every constrained phase of every seed orbit as
+a hit of its own and pushes them all, and ``reference_outcomes`` reads it
+per mu; the answers must be the same.
 """
 
 import random
@@ -20,7 +21,6 @@ from operator import itemgetter
 
 import pytest
 
-import k3witness.families
 import k3witness.pell
 from k3witness import (
     FamilyQuery,
@@ -38,6 +38,7 @@ from k3witness.pell import (
     block_unit,
     class_representatives,
     constrained_orbit_hits,
+    constrained_search,
     fundamental_unit,
     orbit_step,
     push_negative,
@@ -140,6 +141,24 @@ def coset_check(problem, hits):
     return tuple(counts)
 
 
+def reference_search(problem, u_threshold):
+    """``constrained_search``'s answer from a push of every block orbit: each
+    per-phase hit, in (|w|, u, w) order, the first of equal results kept."""
+    hits = per_phase_hits(problem)
+    if not hits:
+        return residue_period(problem), None
+    step, period = block_unit(problem)
+    reached, bounded = [], []
+    for hit in hits:
+        try:
+            reached.append((push_negative(hit, problem, u_threshold, step), hit))
+        except ThresholdUnreachable as exc:
+            bounded.append((exc.best, hit))
+    key = itemgetter(0)
+    sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
+    return period, (sol, seed, bool(reached))
+
+
 def reference_outcomes(query, d, x_threshold=None):
     """(mu, period, (x, y, seed, reachable)) per mu, every block orbit pushed."""
     h2 = 2 * query.g - 2
@@ -152,20 +171,11 @@ def reference_outcomes(query, d, x_threshold=None):
             out.append((mu, 0, None))
             continue
         problem = pell_problem(make_lattice(query.g, d, mu), query)
-        hits = per_phase_hits(problem)
-        if not hits:
-            out.append((mu, residue_period(problem), None))
-            continue
-        step, period = block_unit(problem)
-        reached, bounded = [], []
-        for hit in hits:
-            try:
-                reached.append((push_negative(hit, problem, u_thr, step), hit))
-            except ThresholdUnreachable as exc:
-                bounded.append((exc.best, hit))
-        key = itemgetter(0)
-        sol, seed = max(reached, key=key) if reached else min(bounded, key=key)
-        out.append((mu, period, (*_decode(query, sol), _decode(query, seed), bool(reached))))
+        period, best = reference_search(problem, u_thr)
+        if best is not None:
+            sol, seed, reached = best
+            best = (*_decode(query, sol), _decode(query, seed), reached)
+        out.append((mu, period, best))
     return out
 
 
@@ -285,6 +295,48 @@ def test_outcomes_match_pushing_every_orbit_at_large_genus():
         assert rows == reference_outcomes(query, d, thr), (query, d, thr)
 
 
+NONSQUARE = [d for d in range(2, 80) if not is_perfect_square(d)]
+
+
+def test_search_matches_pushing_every_phase_on_every_shape():
+    # constrained_search on problems of every shape (c not tied to h, r up
+    # to 3, rhs of both signs) against reference_search, under thresholds
+    # that include ones below a rising coset's first hit
+    rng = random.Random(30)
+    regimes = dict.fromkeys(("convex", "concave", "falling", "rising", "fine descent"), 0)
+    for _ in range(300):
+        d, h = rng.choice(NONSQUARE), rng.randint(1, 40)
+        roots = [z for z in range(h) if (z * z - d) % h == 0]
+        if not roots:
+            continue
+        mu, r = rng.choice(roots), rng.randint(1, 3)
+        a, b = rng.randint(-30, 30), r * rng.randint(0, 2)
+        n = a * a - d * b * b
+        if n == 0:
+            continue
+        c = rng.choice([(a - mu * b) % (r * h), rng.randrange(r * h)])
+        prob = PellProblem(d, n, c, mu, r, h)
+        if residue_period(prob) * fundamental_unit(d).u0.bit_length() > 2048:
+            continue
+        hits = [hit for hit, _ in constrained_orbit_hits(prob)]
+        thresholds = [rng.randint(-(10**4), 10**4), rng.choice((-(10**6), 0, 10**6))]
+        rising = [hit.u for hit in hits if n < 0 and hit.w > 0]
+        if rising:
+            thresholds.append(min(rising) - rng.randint(1, 10**3))
+        for u_thr in thresholds:
+            assert constrained_search(prob, u_thr) == reference_search(prob, u_thr), (prob, u_thr)
+            # the cosets that reach the selection: the sign of u decides
+            # the u > 0 ones away where some u < 0 one exists
+            kept = [hit for hit in hits if n < 0 or u_thr >= 0 or hit.u < 0]
+            for hit in kept or hits:
+                if n > 0:
+                    regimes["convex" if hit.u > 0 else "concave"] += 1
+                else:
+                    regimes["rising" if hit.w > 0 else "falling"] += 1
+                    regimes["fine descent"] += hit.w > 0 and hit.u > u_thr
+    assert min(regimes.values()) >= 20, regimes
+
+
 def test_rank_one_cosets_step_by_the_unit():
     # for r = 1 the map u + w*sqrt(d) -> u - mu*w mod 2g-2 is a ring map, so
     # the constraint holds on every phase of a seed orbit or on none: t = 1
@@ -345,12 +397,11 @@ def counted(monkeypatch):
         calls["hits"].append(len(hits))
         return hits
 
-    for module in (k3witness.pell, k3witness.families):
-        monkeypatch.setattr(module, "block_unit", counting_block_unit)
-        monkeypatch.setattr(module, "push_negative", counting_push_negative)
+    # the search and the walks call these through pell's module globals
+    monkeypatch.setattr(k3witness.pell, "block_unit", counting_block_unit)
+    monkeypatch.setattr(k3witness.pell, "push_negative", counting_push_negative)
     monkeypatch.setattr(k3witness.pell, "orbit_step", counting_orbit_step)
-    monkeypatch.setattr(k3witness.families, "orbit_step", counting_orbit_step)
-    monkeypatch.setattr(k3witness.families, "constrained_orbit_hits", counting_hits)
+    monkeypatch.setattr(k3witness.pell, "constrained_orbit_hits", counting_hits)
     monkeypatch.setattr(PellProblem, "residual", counting_residual)
     return calls
 
