@@ -124,6 +124,11 @@ def _fixed() -> list[list[str]]:
         for r in ("1", "2"):
             query = ["--g", str(g), "--r", r, "--s", "1", "--sign", "plus", "--d", str(d)]
             cases += [["member", *query], ["witness", *query, "--count", "1"]]
+    # large genus with r = 2..4, where the period T mod r*(2g-2) is 100 to
+    # 200 times the unit's order mod r
+    for g, r, d in ((3001, 3, 409), (3001, 4, 481), (10001, 2, 41), (10001, 3, 41)):
+        query = ["--g", str(g), "--r", str(r), "--s", "1", "--sign", "plus", "--d", str(d)]
+        cases += [["member", *query], ["witness", *query, "--count", "1"]]
     return cases
 
 
