@@ -178,7 +178,7 @@ def pell_problem(cfg: LatticeConfig, query: FamilyQuery) -> PellProblem:
     x, y are integers with x = mu*y mod 2g-2 (see ``_decode``).
     """
     h2 = cfg.h_square
-    return PellProblem(cfg.d, rhs_value(query), h2, cfg.mu, query.r, h2)
+    return PellProblem(cfg.d, rhs_value(query), cfg.mu, query.r, h2)
 
 
 def _decode(query: FamilyQuery, sol: PellSolution) -> tuple[int, int]:

@@ -27,22 +27,27 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    representative of every class.
 
 3. Decidable constrained search.  A ``PellProblem`` asks for u + w*sqrt(d)
-   in C = c + r*a, where a = (h, mu + sqrt(d)) is the kernel of the ring
+   in C = h + r*a, where a = (h, mu + sqrt(d)) is the kernel of the ring
    map Z[sqrt(d)] -> Z/h with sqrt(d) -> -mu (mu^2 = d mod h): that is,
-   w = 0 (mod r) and u - mu*w = c (mod r*h).  C is a union of classes mod
+   w = 0 (mod r) and u - mu*w = h (mod r*h).  C is a union of classes mod
    M = r*h, on which the unit acts invertibly with finite order T, so
-   constraint satisfaction along an orbit is T-periodic: scanning one full
-   period of every class representative decides emptiness outright, and
-   walking in steps of T ("blocks") moves along a constrained orbit.  The
-   constrained phases of a seed orbit form one coset k0 + t*Z, t | T.
+   constraint satisfaction along an orbit is T-periodic, and walking in
+   steps of T ("blocks") moves along a constrained orbit.  The constrained
+   phases of a seed orbit form one coset k0 + t*Z with k0 < T_r and
+   t | T_r | T, where T_r is the unit's order mod r (T_r = 1 for r = 1).
    Proof: let b, b*e^i and b*e^j lie in C, e the unit.  Then b*(e^i - 1)
    and b*(e^j - 1) lie in the ideal r*a, and so does b*(e^(i+j) - 1) =
    b*(e^i - 1)*e^j + b*(e^j - 1): the phases i of b are closed under
-   addition mod T, so they are a subgroup t*Z/T*Z.  Where r = 1 and c lies
-   in a (``families`` has c = h), C = a is an ideal and t = 1.  So the scan
-   returns one hit per coset with its step exponent t.  The hits are exact
-   by construction (see ``constrained_orbit_hits``); on the search path
-   only ``push_negative`` checks u^2 - d*w^2 = N, on its input.
+   addition mod T, so they are a subgroup t*Z/T*Z.  If e^k * b lies in C,
+   then b lies in a, as C does (h is in a) and e is a unit; as e^T_r - 1
+   lies in r*Z[sqrt(d)], e^(k + T_r) * b - e^k * b then lies in r*a.  So k
+   is a phase iff k + T_r is one: T_r is in t*Z, so t | T_r, and k0 < t.
+   Scanning T_r phases of every class representative thus decides
+   emptiness outright, and gives each coset's k0 and t: the gap to the
+   second phase below T_r, or T_r itself.  So the scan returns one hit per
+   coset with its step exponent t.  The hits are exact by
+   construction (see ``constrained_orbit_hits``); on the search path only
+   ``push_negative`` checks u^2 - d*w^2 = N, on its input.
 
    Along the powers of a step unit e the value u is A*e^j + B*e^(-j) with
    A*B = N: convex in j where N > 0 and u > 0, concave where N > 0 and
@@ -59,10 +64,25 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    For N > 0, u^2 = N + d*w^2 > 0 keeps the sign of u on an orbit: a u < 0
    orbit reaches every threshold, a u > 0 one none below 0, so under a
    threshold below 0 the u > 0 orbits are walked only when no u < 0 one
-   exists.  ``_contenders`` pushes every hit of a convex coset (keeping
-   its w = 0 tie), and otherwise walks up j, by the fine step unit^t, only
+   exists.  ``_contenders`` walks up j, by the fine step unit^t, only
    until u falls to the threshold (each later hit is its own, lower, push)
-   or rises above it.
+   or rises above it.  On a convex coset u does not fall along j: every
+   seed s (a class representative or its negation) has |s'| <= e*|s|, s'
+   the conjugate and e the fundamental unit, so for s, s' > 0 (N > 0,
+   u > 0) u(e*s) - u(s) = (e - 1)*(s - s'/e)/2 >= 0, and u(e^k * s) is
+   convex in k: it does not fall for k >= k0 >= 0.  Proof of the bound for
+   R = G + B*sqrt(d) read off ``_pqa`` of xi = (z + sqrt(d))/|m| at Q = +-1
+   (scaling by f and negating keep |R'|/|R|): G - B*sqrt(d) = |m|*(A - B*xi)
+   and G + B*sqrt(d) = |m|*(A - B*xi'), A/B the convergent of xi, so
+   |R'|/|R| = |B*x' + B_|/(B*x + B_), where x = (P + sqrt(d))/Q > 1 is the
+   next complete quotient and B_ >= 0 the previous denominator.  For Q = 1
+   a ratio above 1 needs P = -p < 0, and x > 1 gives p <= floor(sqrt(d)) - 1:
+   the ratio is at most (sqrt(d) + p)/(sqrt(d) - p) < 2*sqrt(d) - 1 < e, as
+   e = u0 + w0*sqrt(d) > 2*w0*sqrt(d).  For Q = -1, x > 1 gives p = -P >=
+   floor(sqrt(d)) + 2: the ratio is at most (sqrt(d) + p)/(p - sqrt(d)) <=
+   1 + 2*sqrt(d)/(2 - frac(sqrt(d))), below 1 + 2*sqrt(d) < e where w0 >= 2,
+   and e itself where w0 = 1 (then 2 - frac(sqrt(d)) = 1 + 1/e).  Fixing
+   the sign by the norm-(-1) unit eta divides the ratio by eta^2 = e.
 
 This module speaks only (u, w), ordered as pairs.  A caller with its own
 coordinates (``families`` has x, y with u = r*x + 2g-2, w = r*y) states its
@@ -100,13 +120,12 @@ class PellSolution:
 
 @dataclass(frozen=True)
 class PellProblem:
-    """u^2 - d*w^2 = rhs with w = 0 (mod r) and u - mu*w = c (mod r*h), that
-    is u + w*sqrt(d) = c modulo r*(h, mu + sqrt(d)), an ideal as mu^2 = d
+    """u^2 - d*w^2 = rhs with w = 0 (mod r) and u - mu*w = h (mod r*h), that
+    is u + w*sqrt(d) = h modulo r*(h, mu + sqrt(d)), an ideal as mu^2 = d
     (mod h).  The defaults r = h = 1 leave the equation unconstrained."""
 
     d: int
     rhs: int
-    c: int = 0
     mu: int = 0
     r: int = 1
     h: int = 1
@@ -125,7 +144,7 @@ class PellProblem:
         return u * u - self.d * w * w - self.rhs
 
     def meets_constraints(self, u: int, w: int) -> bool:
-        return w % self.r == 0 and (u - self.mu * w - self.c) % (self.r * self.h) == 0
+        return w % self.r == 0 and (u - self.mu * w - self.h) % (self.r * self.h) == 0
 
 
 def _pqa(d: int, P: int, Q: int):
@@ -366,22 +385,22 @@ def solve_bounded(d: int, rhs: int) -> tuple[PellSolution, ...]:
     )
 
 
-def _unit_powers_mod(d: int, M: int):
+def _unit_powers_mod(d: int, M: int, m: int):
     # unit^k = e + f*sqrt(d) (mod M) for k = 0, 1, ... until the powers
-    # return to 1: a norm-1 unit is invertible mod M
+    # return to 1 mod m, m | M: a norm-1 unit is invertible mod M
     unit = fundamental_unit(d)
     a, b = unit.u0 % M, unit.w0 % M
     e, f = 1 % M, 0
     while True:
         yield e, f
         e, f = (e * a + f * b * d) % M, (e * b + f * a) % M
-        if (e, f) == (1 % M, 0):
+        if f % m == 0 and e % m == 1 % m:
             return
 
 
 @lru_cache(maxsize=None)
 def _period(d: int, M: int) -> int:
-    return sum(1 for _ in _unit_powers_mod(d, M))
+    return sum(1 for _ in _unit_powers_mod(d, M, M))
 
 
 def residue_period(problem: PellProblem) -> int:
@@ -411,10 +430,11 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
     """One exact hit h and its step exponent t for every constrained orbit coset.
 
     The phases k where unit^k * s meets the constraint mod M, s a class
-    representative or its negation, are one coset k0 + t*Z, t | T (module
-    docstring).  So each seed's scan of the unit's T powers mod M, built
-    once per problem, stops at its second phase k1: t = k1 - k0, or T if
-    k0 is the only one.  The pair is (unit^k0 * s, t): the hits
+    representative or its negation, are one coset k0 + t*Z with k0 < T_r
+    and t | T_r | T, T_r the unit's order mod r (module docstring).  So each
+    seed's scan of the unit's first T_r powers mod M, built once per
+    problem, stops at its second phase k1: t = k1 - k0, or T_r if k0 is the
+    only one.  The pair is (unit^k0 * s, t): the hits
     unit^(j*t) * h, 0 <= j < T/t, start the coset's T/t block orbits.  The
     hits are exact by construction: the seed's norm was compared with rhs
     (or fixed by the norm-(-1) unit) and scaled by f, unit^k has norm 1,
@@ -426,9 +446,9 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
     if not seeds:
         return ()
     unit = fundamental_unit(problem.d)
-    d, mu, r, c, M = problem.d, problem.mu, problem.r, problem.c, problem.r * problem.h
-    table = tuple(_unit_powers_mod(d, M))
-    T = len(table)
+    d, mu, r, h, M = problem.d, problem.mu, problem.r, problem.h, problem.r * problem.h
+    table = tuple(_unit_powers_mod(d, M, r))
+    T_r = len(table)
     powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
     hits: list[tuple[PellSolution, int]] = []
     for seed in seeds:
@@ -437,12 +457,12 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
         p, q = (su - mu * sw) % M, (d * sw - mu * su) % M
         phases = (
             k for k, (e, f) in enumerate(table)
-            if (e * sw + f * su) % r == 0 and (e * p + f * q - c) % M == 0
+            if (e * sw + f * su) % r == 0 and (e * p + f * q - h) % M == 0
         )
         k0 = next(phases, None)
         if k0 is None:
             continue
-        t = next(phases, k0 + T) - k0
+        t = next(phases, k0 + T_r) - k0
         if k0 and k0 not in powers:
             powers[k0] = unit_power(unit, k0)
         hits.append((orbit_step(seed, powers[k0], 1) if k0 else seed, t))
@@ -509,7 +529,8 @@ def block_descent(problem: PellProblem, start: PellSolution):
 def _contenders(problem: PellProblem, hit: PellSolution, fine: FundamentalUnit, blocks: int,
                 u_thr: int, step: FundamentalUnit) -> list[PellSolution]:
     """The hits h_j = fine^j * hit, 0 <= j < blocks, whose push by ``step``
-    can win: the walk stops where every later push is below one kept."""
+    can win: the walk stops where every later push is below one kept (on a
+    convex coset u does not fall along j, see the module docstring)."""
     rising = problem.rhs < 0 and hit.w > 0  # w keeps its sign where rhs < 0
     if rising and hit.u > u_thr:
         # every hit lands below it: the winner's block orbit holds the first
@@ -518,13 +539,12 @@ def _contenders(problem: PellProblem, hit: PellSolution, fine: FundamentalUnit, 
         while low.u < hit.u:
             low = orbit_step(low, step, 1)
         return [low]
-    convex = problem.rhs > 0 and hit.u > 0
     kept: list[PellSolution] = []
     for _ in range(blocks):
         if rising and hit.u > u_thr:
             break  # this and each later hit land below the last one kept
         kept.append(hit)
-        if not convex and len(kept) > 1 and u_thr >= hit.u < kept[-2].u:
+        if len(kept) > 1 and u_thr >= hit.u < kept[-2].u:
             break  # u falls from here on: each later hit is its own, lower, push
         hit = orbit_step(hit, fine, 1)
     return kept

@@ -44,6 +44,7 @@ from k3witness.pell import (
     push_negative,
     residue_period,
 )
+from test_pell import problem_through
 
 # (g, r, s, sign, tilde, d): the chain families of the benchmark deck
 # (perfbench/workloads.py), small-genus members with a reachable threshold
@@ -299,24 +300,20 @@ NONSQUARE = [d for d in range(2, 80) if not is_perfect_square(d)]
 
 
 def test_search_matches_pushing_every_phase_on_every_shape():
-    # constrained_search on problems of every shape (c not tied to h, r up
-    # to 3, rhs of both signs) against reference_search, under thresholds
-    # that include ones below a rising coset's first hit
+    # constrained_search on problems of every shape (h up to 40, r up to 3,
+    # rhs of both signs, each through a drawn point) against
+    # reference_search, under thresholds that include ones below a rising
+    # coset's first hit
     rng = random.Random(30)
     regimes = dict.fromkeys(("convex", "concave", "falling", "rising", "fine descent"), 0)
     for _ in range(300):
-        d, h = rng.choice(NONSQUARE), rng.randint(1, 40)
-        roots = [z for z in range(h) if (z * z - d) % h == 0]
-        if not roots:
-            continue
-        mu, r = rng.choice(roots), rng.randint(1, 3)
+        d, r = rng.choice(NONSQUARE), rng.randint(1, 3)
         a, b = rng.randint(-30, 30), r * rng.randint(0, 2)
         n = a * a - d * b * b
         if n == 0:
             continue
-        c = rng.choice([(a - mu * b) % (r * h), rng.randrange(r * h)])
-        prob = PellProblem(d, n, c, mu, r, h)
-        if residue_period(prob) * fundamental_unit(d).u0.bit_length() > 2048:
+        prob = problem_through(d, a, b, r, rng, 40)
+        if prob is None or residue_period(prob) * fundamental_unit(d).u0.bit_length() > 2048:
             continue
         hits = [hit for hit, _ in constrained_orbit_hits(prob)]
         thresholds = [rng.randint(-(10**4), 10**4), rng.choice((-(10**6), 0, 10**6))]

@@ -157,6 +157,31 @@ class TestSolveBounded:
         assert list(reps) == sorted(reps, key=lambda p: (p.w, p.u))
 
 
+def problem_through(d, u, w, r, rng, hmax):
+    """A PellProblem(d, u^2 - d*w^2, mu, r, h) with h <= hmax whose constraint
+    (u, w) meets, drawn from every such (mu, h); None where there is none.
+    Needs r | w."""
+    shapes = [
+        (mu, h)
+        for h in range(1, hmax + 1)
+        for mu in range(h)
+        if (mu * mu - d) % h == 0 and (u - mu * w - h) % (r * h) == 0
+    ]
+    if not shapes:
+        return None
+    mu, h = rng.choice(shapes)
+    return PellProblem(d, u * u - d * w * w, mu, r, h)
+
+
+def unit_order_mod(d, m):
+    """The least T >= 1 with unit^T = 1 (mod m), by walking the powers."""
+    unit = fundamental_unit(d)
+    e, f, k = unit.u0 % m, unit.w0 % m, 1
+    while (e, f) != (1 % m, 0):
+        e, f, k = (e * unit.u0 + d * f * unit.w0) % m, (e * unit.w0 + f * unit.u0) % m, k + 1
+    return k
+
+
 def coset_orbit(problem, hit, t, box):
     """Solutions within |u|, |w| <= box on the orbit of ``hit`` under unit^t,
     both ways; each one meets the constraints."""
@@ -193,8 +218,8 @@ class TestConstrained:
         assert (-6, 2) in self._reached(prob)  # (x, y) = (-7, 1)
 
     def test_certified_empty(self):
-        # u^2 - 2w^2 = 1 forces u odd, so u = 0 mod 2 is impossible
-        prob = PellProblem(2, 1, 0, 0, 1, 2)
+        # u^2 - 2w^2 = 1 forces u odd, so u = 2 = 0 mod 2 is impossible
+        prob = PellProblem(2, 1, 0, 1, 2)
         assert constrained_orbit_hits(prob) == ()
         assert residue_period(prob) >= 1
         assert class_representatives(2, 1)
@@ -202,13 +227,13 @@ class TestConstrained:
     def test_large_residue_period(self):
         # p = 2,000,003 = 3 (mod 8) is inert in Z[sqrt(2)]; the unit's order
         # mod p is p + 1, past any fixed step budget of a few million
-        prob = PellProblem(2, 1, 1, 0, 2_000_003, 1)
+        prob = PellProblem(2, 1, 0, 2_000_003, 1)
         assert residue_period(prob) == 2_000_004
 
     def test_residue_period_keeps_no_table(self):
         # p = 200,029 = 5 (mod 8) is inert too, with T = p + 1; a table of the
         # unit's powers mod p would hold about 25 MB, the walk holds a few ints
-        prob = PellProblem(2, 1, 1, 0, 200_029, 1)
+        prob = PellProblem(2, 1, 0, 200_029, 1)
         k3witness.pell._period.cache_clear()
         tracemalloc.start()
         try:
@@ -226,22 +251,22 @@ class TestConstrained:
             n = rng.choice([k for k in range(-30, 31) if k != 0])
             if rng.random() < 0.7:  # a norm, so that the bare equation is solvable
                 n = rng.randint(-9, 9) ** 2 - d * rng.randint(0, 3) ** 2 or n
-            h = rng.choice([m for m in range(1, 10) if any((z * z - d) % m == 0 for z in range(m))])
-            mu = rng.choice([z for z in range(h) if (z * z - d) % h == 0])
             r = rng.randint(1, 3)
             sols = [(u, w) for (u, w) in brute_solutions(d, n, 2000) if w % r == 0]
-            # half the draws take c from a solution, so that many are non-empty
+            # half the draws take (mu, h) from a solution, so that many are non-empty
+            prob = None
             if sols and rng.random() < 0.5:
-                u, w = rng.choice(sorted(sols))
-                c = (u - mu * w) % (r * h)
-            else:
-                c = rng.randrange(r * h)
-            prob = PellProblem(d, n, c, mu, r, h)
+                prob = problem_through(d, *rng.choice(sorted(sols)), r, rng, 9)
+            if prob is None:
+                h = rng.choice([m for m in range(1, 10) if any((z * z - d) % m == 0 for z in range(m))])
+                mu = rng.choice([z for z in range(h) if (z * z - d) % h == 0])
+                prob = PellProblem(d, n, mu, r, h)
+            mu, h = prob.mu, prob.h
             hits = constrained_orbit_hits(prob)
             brute = {
                 (u, w)
                 for (u, w) in brute_solutions(d, n, 2000)
-                if w % r == 0 and (u - mu * w - c) % (r * h) == 0
+                if w % r == 0 and (u - mu * w - h) % (r * h) == 0
             }
             if not hits:
                 assert not brute, prob
@@ -256,25 +281,29 @@ class TestConstrained:
 
     def test_constrained_phases_form_one_coset(self):
         # the lemma of the module docstring: per seed, the phases k where
-        # unit^k * seed meets the constraint, scanned here on residues mod M,
-        # are one coset k0 + t*Z with t | T, and the hit is (unit^k0 * seed, t)
+        # unit^k * seed meets the constraint, scanned here over all T phases
+        # on residues mod M, are one coset k0 + t*Z with k0 < T_r and
+        # t | T_r | T, T_r the unit's order mod r, and the hit is
+        # (unit^k0 * seed, t)
         rng = random.Random(60000)
-        seen = {"t < T": 0, "k0 > 0": 0, "r > 1": 0}
+        seen = {"t < T": 0, "k0 > 0": 0, "r > 1": 0, "T_r < T": 0}
         for _ in range(300):
-            d = rng.choice(_NONSQUARE)
-            h = rng.randint(1, 40)
-            roots = [z for z in range(h) if (z * z - d) % h == 0]
-            if not roots:
-                continue
-            mu, r = rng.choice(roots), rng.randint(1, 3)
-            # n and c from a point (a, b) with r | b, so that most draws have phases
+            d, r = rng.choice(_NONSQUARE), rng.randint(1, 3)
+            # n, and half the time (mu, h), from a point (a, b) with r | b,
+            # so that most draws have phases
             a, b = rng.randint(-20, 20), r * rng.randint(0, 2)
-            n = a * a - d * b * b
-            if n == 0:
+            if a * a == d * b * b:
                 continue
-            c = rng.choice([(a - mu * b) % (r * h), rng.randrange(r * h)])
-            prob = PellProblem(d, n, c, mu, r, h)
+            prob = problem_through(d, a, b, r, rng, 40) if rng.random() < 0.5 else None
+            if prob is None:
+                h = rng.randint(1, 40)
+                roots = [z for z in range(h) if (z * z - d) % h == 0]
+                if not roots:
+                    continue
+                prob = PellProblem(d, a * a - d * b * b, rng.choice(roots), r, h)
+            n, h = prob.rhs, prob.h
             unit, M, T = fundamental_unit(d), r * h, residue_period(prob)
+            T_r = unit_order_mod(d, r)
             expected = set()
             for rep in class_representatives(d, n):
                 for seed in (rep, PellSolution(-rep.u, -rep.w)):
@@ -288,12 +317,42 @@ class TestConstrained:
                     k0 = phases[0]
                     t = phases[1] - k0 if len(phases) > 1 else T
                     assert T % t == 0 and phases == list(range(k0, T, t)), (prob, seed, phases)
+                    assert k0 < T_r and T_r % t == 0 and T % T_r == 0, (prob, seed, T_r)
                     expected.add((orbit_step(seed, unit_power(unit, k0), 1), t))
                     seen["t < T"] += t < T
                     seen["k0 > 0"] += k0 > 0
                     seen["r > 1"] += r > 1
+                    seen["T_r < T"] += T_r < T
             assert set(constrained_orbit_hits(prob)) == expected, prob
         assert min(seen.values()) >= 20, seen
+
+    def test_scan_walks_t_r_powers(self, monkeypatch):
+        # the scan draws the unit's first T_r powers mod M, T_r its order mod
+        # r, once per problem; T comes from the cached period, not a walk
+        real, drawn = k3witness.pell._unit_powers_mod, []
+
+        def counting(*args):
+            for power in real(*args):
+                drawn.append(power)
+                yield power
+
+        monkeypatch.setattr(k3witness.pell, "_unit_powers_mod", counting)
+        rng = random.Random(61)
+        problems = [pell_problem(make_lattice(10001, 41, 3821), FamilyQuery(10001, 3, 1, 1))]
+        while len(problems) < 100:
+            d, r = rng.choice(_NONSQUARE), rng.randint(1, 4)
+            a, b = rng.randint(-20, 20), r * rng.randint(0, 2)
+            if a * a != d * b * b:
+                problems += filter(None, [problem_through(d, a, b, r, rng, 40)])
+        ratios = []
+        for prob in problems:
+            T = residue_period(prob)
+            drawn.clear()
+            assert constrained_orbit_hits(prob), prob
+            T_r = unit_order_mod(prob.d, prob.r)
+            assert len(drawn) == T_r, (prob, len(drawn), T_r, T)
+            ratios.append(T // T_r)
+        assert ratios[0] == 125 and sum(q > 1 for q in ratios) >= 20, ratios
 
     def test_period_preserves_constraints(self):
         cfg = make_lattice(5, 17, 1)
@@ -314,12 +373,12 @@ class TestConstrained:
             PellProblem(17, 0)
         for r, h in ((0, 1), (1, 0), (-2, 3)):
             with pytest.raises(ValueError):
-                PellProblem(17, 8, 0, 0, r, h)
-        # u = 2 (mod 5) needs a square root mu of d = 2 mod 5, and there is none
+                PellProblem(17, 8, 0, r, h)
+        # h = 5 needs a square root mu of d = 2 mod 5, and there is none
         for mu in range(5):
             with pytest.raises(ValueError):
-                PellProblem(2, 1, 2, mu, 1, 5)
-        assert PellProblem(17, 8, 0, 2, 1, 13).meets_constraints(2, 1)
+                PellProblem(2, 1, mu, 1, 5)
+        assert PellProblem(17, 8, 2, 1, 13).meets_constraints(2, 1)
 
     def test_solutions_order_by_u_then_w(self):
         assert PellSolution(-10, 5) < PellSolution(-9, -7) < PellSolution(-9, 2)
@@ -564,3 +623,23 @@ class TestSqrtsMod:
             assert [class_representatives(d, rhs) for d, rhs in cases] == fast
         finally:
             clear()
+
+
+def test_a_unit_step_never_lowers_a_positive_seed():
+    # the bound the module docstring proves, on which _contenders keeps no
+    # convex rule: for rhs > 0 every seed s (a class representative or its
+    # negation) with u > 0 has u(unit * s) >= u(s); equality needs w0 = 1
+    seeds = w_negative = 0
+    for d in _NONSQUARE:
+        unit = fundamental_unit(d)
+        for n in range(1, 400):
+            for rep in class_representatives(d, n):
+                for s in (rep, PellSolution(-rep.u, -rep.w)):
+                    if s.u > 0:
+                        assert orbit_step(s, unit, 1).u >= s.u, (d, n, s)
+                        seeds += 1
+                        w_negative += s.w < 0
+    assert seeds >= 10_000 and w_negative >= 1000, (seeds, w_negative)
+    # the equality case: d = 8, u0 = 3, w0 = 1
+    assert PellSolution(-36, 9) in class_representatives(8, 648)
+    assert orbit_step(PellSolution(36, -9), fundamental_unit(8), 1) == PellSolution(36, 9)
