@@ -39,9 +39,9 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    and b*(e^j - 1) lie in the ideal r*a, and so does b*(e^(i+j) - 1) =
    b*(e^i - 1)*e^j + b*(e^j - 1): the phases i of b are closed under
    addition mod T, so they are a subgroup t*Z/T*Z.  If e^k * b lies in C,
-   then b lies in a, as C does (h is in a) and e is a unit; as e^T_r - 1
-   lies in r*Z[sqrt(d)], e^(k + T_r) * b - e^k * b then lies in r*a.  So k
-   is a phase iff k + T_r is one: T_r is in t*Z, so t | T_r, and k0 < t.
+   then b lies in a, since C lies in a (h does) and e is a unit; as
+   e^T_r - 1 lies in r*Z[sqrt(d)], e^(k + T_r) * b - e^k * b then lies in
+   r*a.  So k is a phase iff k + T_r is one: t | T_r, and k0 < t.
    Scanning T_r phases of every class representative thus decides
    emptiness outright, and gives each coset's k0 and t: the gap to the
    second phase below T_r, or T_r itself.  So the scan returns one hit per

@@ -218,7 +218,7 @@ class TestConstrained:
         assert (-6, 2) in self._reached(prob)  # (x, y) = (-7, 1)
 
     def test_certified_empty(self):
-        # u^2 - 2w^2 = 1 forces u odd, so u = 2 = 0 mod 2 is impossible
+        # u^2 - 2w^2 = 1 forces u odd, so u = h = 0 (mod 2) is impossible
         prob = PellProblem(2, 1, 0, 1, 2)
         assert constrained_orbit_hits(prob) == ()
         assert residue_period(prob) >= 1
