@@ -129,6 +129,9 @@ def _fixed() -> list[list[str]]:
     for g, r, d in ((3001, 3, 409), (3001, 4, 481), (10001, 2, 41), (10001, 3, 41)):
         query = ["--g", str(g), "--r", str(r), "--s", "1", "--sign", "plus", "--d", str(d)]
         cases += [["member", *query], ["witness", *query, "--count", "1"]]
+    # eight mu, every one a member, that share one d and so one block unit
+    query = ["--g", "100000", "--r", "2", "--s", "1", "--sign", "plus", "--d", "109993"]
+    cases += [["member", *query], ["witness", *query, "--count", "1"]]
     return cases
 
 
