@@ -57,6 +57,8 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
    with a certified minimum where a convex orbit bottoms out; every step
    lowers u, so it needs no step cap.  ``block_descent`` walks it by the
    block unit q = unit^T (``block_unit``), as does ``push_negative``.
+   The search and the chain take every power of the unit from one memo,
+   ``_power``: the mu of one d share M = r*h, T and q, as does the chain.
    ``constrained_search(problem, u_threshold)`` is the one search: it
    returns T and the best push by q over the block orbits of every coset
    (h, t), one per hit h_j = unit^(j*t) * h, that is the orbit closest to
@@ -152,21 +154,31 @@ def _pqa(d: int, P: int, Q: int):
 
     Yields (G_{i-1}, B_{i-1}, Q_i), i >= 1, with G_{i-1}^2 - d*B_{i-1}^2 =
     (-1)^i * Q_0 * Q_i.  Stops before the first repeated state (P_i, Q_i),
-    which comes as the expansion of a quadratic surd is eventually periodic.
+    i >= 1: the return of the first reduced state at an index i >= 1, where
+    the surd x_i = (P_i + sqrt(d))/Q_i has x_i > 1 and -1 < x_i' < 0, that
+    is, with s = floor(sqrt(d)), Q_i > 0, P_i <= s, P_i + Q_i > s and
+    Q_i <= P_i + s.  Proof: the expansion of a quadratic surd is eventually
+    periodic, its complete quotients are reduced from some index on, and the
+    expansion of a reduced surd is purely periodic (Galois), so the states
+    from the first reduced one on repeat with its period L, distinct within
+    it.  A state that repeats lies on that cycle, which recurs at arbitrarily
+    large indices, so it is reduced; no state before the first reduced one
+    repeats, and the first repeat is the first reduced state, L steps on.
     """
     s = isqrt(d)
     g_pp, g_p = -P, Q  # G_{-2}, G_{-1}
     b_pp, b_p = 1, 0  # B_{-2}, B_{-1}
-    seen: set[tuple[int, int]] = set()
+    first = None  # the first reduced state at index >= 1
     while True:
         a = (P + s if Q > 0 else P + s + 1) // Q  # floor, as the surd is irrational
         g_pp, g_p = g_p, a * g_p + g_pp
         b_pp, b_p = b_p, a * b_p + b_pp
         P = a * Q - P
         Q = (d - P * P) // Q
-        if (P, Q) in seen:
+        if (P, Q) == first:
             return
-        seen.add((P, Q))
+        if first is None and 0 < Q <= P + s and P <= s < P + Q:
+            first = P, Q
         yield g_p, b_p, Q
 
 
@@ -403,6 +415,11 @@ def _period(d: int, M: int) -> int:
     return sum(1 for _ in _unit_powers_mod(d, M, M))
 
 
+@lru_cache(maxsize=32)  # one d's T, steps t, phases k0 < T_r; None kept every d's q
+def _power(d: int, k: int) -> FundamentalUnit:
+    return unit_power(fundamental_unit(d), k)
+
+
 def residue_period(problem: PellProblem) -> int:
     """Order of the unit action on (u, w) mod r*h."""
     return _period(problem.d, problem.r * problem.h)
@@ -415,7 +432,7 @@ def block_unit(problem: PellProblem) -> tuple[FundamentalUnit, int]:
     sub-orbits.
     """
     T = residue_period(problem)
-    return unit_power(fundamental_unit(problem.d), T), T
+    return _power(problem.d, T), T
 
 
 def _seeds(problem: PellProblem) -> list[PellSolution]:
@@ -445,11 +462,9 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
     seeds = _seeds(problem)
     if not seeds:
         return ()
-    unit = fundamental_unit(problem.d)
     d, mu, r, h, M = problem.d, problem.mu, problem.r, problem.h, problem.r * problem.h
     table = tuple(_unit_powers_mod(d, M, r))
     T_r = len(table)
-    powers: dict[int, FundamentalUnit] = {}  # the seeds share phases
     hits: list[tuple[PellSolution, int]] = []
     for seed in seeds:
         # unit^k * seed has w = e*sw + f*su and u - mu*w = e*p + f*q (mod M)
@@ -463,9 +478,7 @@ def constrained_orbit_hits(problem: PellProblem) -> tuple[tuple[PellSolution, in
         if k0 is None:
             continue
         t = next(phases, k0 + T_r) - k0
-        if k0 and k0 not in powers:
-            powers[k0] = unit_power(unit, k0)
-        hits.append((orbit_step(seed, powers[k0], 1) if k0 else seed, t))
+        hits.append((orbit_step(seed, _power(d, k0), 1) if k0 else seed, t))
     return tuple(sorted(dict.fromkeys(hits), key=lambda p: (abs(p[0].w), p[0].u, p[0].w, p[1])))
 
 
@@ -564,12 +577,10 @@ def constrained_search(
         # the sign of u decides the orbit
         hits = [h for h in hits if h[0].u < 0] or hits
     step, period = block_unit(problem)
-    steps = {t for _, t in hits} - {period}
-    fine = {t: unit_power(fundamental_unit(problem.d), t) for t in steps} | {period: step}
     # two cosets can share a hit (two seeds on one unit orbit): push it once
     contenders = dict.fromkeys(
         hit for h, t in hits
-        for hit in _contenders(problem, h, fine[t], period // t, u_threshold, step)
+        for hit in _contenders(problem, h, _power(problem.d, t), period // t, u_threshold, step)
     )
     reached: list[tuple[PellSolution, PellSolution]] = []
     bounded: list[tuple[PellSolution, PellSolution]] = []

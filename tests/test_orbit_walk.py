@@ -472,3 +472,27 @@ def test_chain_builds_the_block_unit_once_and_steps_once_per_element(counted):
         assert len(counted["block_unit"]) == by_member + 1
         steps[count] = counted["orbit_step"]
     assert steps[41] - steps[21] == 20
+
+
+@pytest.mark.parametrize("g, r, s, d", [(5, 2, 2, 17), (40, 1, 1, 133), (100000, 2, 1, 109993)])
+def test_every_mu_and_the_chain_share_one_block_unit(monkeypatch, g, r, s, d):
+    # every mu of one d has the same T, so one q = unit^T serves them all and
+    # the chain; cleared first, so that no earlier test's memo hides a rebuild
+    query = FamilyQuery(g, r, s, 1)
+    mu = unit_square_roots(g, d)[0]
+    T = residue_period(pell_problem(make_lattice(g, d, mu), query))
+    real, exponents = k3witness.pell.unit_power, []
+
+    def counting(unit, k):
+        exponents.append(k)
+        return real(unit, k)
+
+    monkeypatch.setattr(k3witness.pell, "unit_power", counting)
+    k3witness.pell._power.cache_clear()
+    outcomes = membership(query, d)
+    assert sum(oc.witness is not None for oc in outcomes) > 1
+    assert exponents.count(T) == 1
+    k3witness.pell._power.cache_clear()
+    exponents.clear()
+    witness_chain(query, d, 2)
+    assert exponents.count(T) == 1

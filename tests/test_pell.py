@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -21,6 +22,7 @@ from k3witness.errors import SquareInput, ThresholdUnreachable
 import k3witness.pell
 from k3witness.families import pell_problem, rhs_value
 from k3witness.pell import (
+    _pqa,
     _sqrts_mod,
     block_unit,
     constrained_orbit_hits,
@@ -470,6 +472,39 @@ def test_unit_power_is_a_homomorphism(d, j, k):
     combined = orbit_step(PellSolution(a.u0, a.w0), b, 1)
     assert (combined.u, combined.w) == (ab.u0, ab.w0)
     assert a.u0 * a.u0 - d * a.w0 * a.w0 == 1
+
+
+def pqa_with_seen_set(d, P, Q):
+    """The PQa expansion stopped by a set of the states seen: the reference
+    for ``_pqa``'s stop at the return of the first reduced state."""
+    s = isqrt(d)
+    g_pp, g_p, b_pp, b_p = -P, Q, 1, 0
+    seen = set()
+    while True:
+        a = (P + s if Q > 0 else P + s + 1) // Q
+        g_pp, g_p = g_p, a * g_p + g_pp
+        b_pp, b_p = b_p, a * b_p + b_pp
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) in seen:
+            return
+        seen.add((P, Q))
+        yield g_p, b_p, Q
+
+
+def test_pqa_stops_where_the_first_state_repeats():
+    starts = 0
+    for d in range(2, 400):
+        if isqrt(d) ** 2 == d:
+            continue
+        for Q in [q for q in range(-24, 25) if q]:
+            for P in range(-2 * abs(Q), 2 * abs(Q) + 1):
+                if (d - P * P) % Q == 0:
+                    # one item past the reference, so that a missed stop fails, not hangs
+                    ref = list(pqa_with_seen_set(d, P, Q))
+                    assert list(islice(_pqa(d, P, Q), len(ref) + 1)) == ref, (d, P, Q)
+                    starts += 1
+    assert starts > 60_000
 
 
 def test_constrained_output_order_is_canonical():
