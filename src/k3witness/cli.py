@@ -143,14 +143,14 @@ class _Digits(dict):
         return s
 
 
-def _json(obj, digits: dict[int, str]) -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True), ints read from digits.
+def _json(obj, digits: dict[int, str]) -> list[str]:
+    """The chunks of json.dumps(obj, indent=2, sort_keys=True), ints read from digits.
 
     obj is built of dicts with str keys, lists, str, int, bool and None.
     """
     parts: list[str] = []
     _write_json(obj, "", parts.append, digits)
-    return "".join(parts)
+    return parts
 
 
 def _write_json(o, indent: str, put: Callable[[str], None], digits: dict[int, str]) -> None:
@@ -193,16 +193,17 @@ def _write_json(o, indent: str, put: Callable[[str], None], digits: dict[int, st
 
 
 def _emit(args, doc: dict, text: Callable[[], str], digits: dict[int, str]) -> None:
-    """Write doc as JSON under --format json, else text(), to --out or stdout."""
-    data = _json(doc, digits) + "\n" if args.fmt == "json" else text()
+    """Write doc as JSON under --format json, else text(), to --out or stdout,
+    only once rendering has finished, so a failed render writes nothing."""
+    chunks = _json(doc, digits) + ["\n"] if args.fmt == "json" else [text()]
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(data)
+        sys.stdout.writelines(chunks)
 
 
 def _render(

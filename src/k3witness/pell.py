@@ -14,13 +14,11 @@ surd (P + sqrt(d))/Q), serves layers 1 and 2.  The three layers are:
 2. Solution classes.  Every solution of u^2 - d*w^2 = N is (+-)(unit^k)
    applied to finitely many representatives.  Primitive representatives for
    the right-hand side m come from ``_pqa`` started at P0 = z, Q0 = |m|
-   for each square root z of d mod |m|.  The roots come from the
-   factorisation of |m| by trial division: Tonelli-Shanks mod each odd prime,
-   a lift to each prime power one p-adic digit at a time (which also covers
-   p = 2 and p | d), and the Chinese remainder theorem.  A
-   candidate is read off whenever the expansion reaches Q = +-1 inside the
-   first cycle of its (P, Q) states, with the norm-(-1) unit converting a
-   wrong-sign value when that unit exists.  Scaling by the square divisors
+   for each square root z of d mod |m|, from ``lattice._sqrts_mod`` (the
+   ``lattice`` docstring says how it finds them).  A candidate is read off
+   whenever the expansion reaches Q = +-1 inside the first cycle of its
+   (P, Q) states, with the norm-(-1) unit converting a wrong-sign value
+   when that unit exists.  Scaling by the square divisors
    of N covers imprimitive solutions.  ``solve_bounded`` exposes the
    classical window: all solutions with 0 <= w and 2*d*w^2 <= N*(u0-1)
    (N > 0) or 2*d*w^2 <= -N*(u0+1) (N < 0), which contains a
@@ -100,7 +98,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import K3WitnessError, SquareInput, ThresholdUnreachable, short_int
-from .lattice import is_perfect_square
+from .lattice import _sqrts_mod, is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -236,81 +234,6 @@ def unit_power(unit: FundamentalUnit, k: int) -> FundamentalUnit:
         ba, bb = ba * ba + bb * bb * d, 2 * ba * bb
         k >>= 1
     return FundamentalUnit(d, ra, rb)
-
-
-def _factor(n: int) -> list[tuple[int, int]]:
-    # (p, k) with n = prod p^k, n >= 1, by trial division
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    # Tonelli-Shanks: a root of z^2 = a (mod p) for an odd prime p not
-    # dividing a, or None when a is a non-residue
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (e - i - 1), p)
-        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _sqrts_mod_prime_power(a: int, p: int, k: int) -> list[int]:
-    # every z in [0, p^k) with z^2 = a (mod p^k): the roots mod p, lifted one
-    # level at a time by testing z + t*p^j for t in 0..p-1 (covers p = 2 and
-    # p | a, where the roots need not lift uniquely)
-    if p == 2 or a % p == 0:
-        roots = [a % p]
-    else:
-        r = _sqrt_mod_prime(a % p, p)
-        if r is None:
-            return []
-        roots = [r, p - r]
-    pj = p
-    for _ in range(k - 1):
-        nxt = pj * p
-        roots = [c for z in roots for c in range(z, nxt, pj) if (c * c - a) % nxt == 0]
-        pj = nxt
-    return roots
-
-
-def _sqrts_mod(a: int, m: int) -> tuple[int, ...]:
-    # all z in (-m/2, m/2] with z^2 = a (mod m), ascending in [0, m) before the
-    # shift: roots mod each prime power of m, combined by CRT
-    roots, n = [0], 1
-    for p, k in _factor(m):
-        pk = p**k
-        local = _sqrts_mod_prime_power(a, p, k)
-        inv = pow(n, -1, pk)
-        roots = [z + n * ((r - z) * inv % pk) for z in roots for r in local]
-        n *= pk
-    roots.sort()
-    return tuple(z if 2 * z <= m else z - m for z in roots)
 
 
 def _primitive_class_reps(d: int, m: int) -> tuple[tuple[int, int], ...]:

@@ -20,10 +20,9 @@ from k3witness import (
 )
 from k3witness.errors import SquareInput, ThresholdUnreachable
 import k3witness.pell
-from k3witness.families import pell_problem, rhs_value
+from k3witness.families import pell_problem
 from k3witness.pell import (
     _pqa,
-    _sqrts_mod,
     block_unit,
     constrained_orbit_hits,
     negative_unit,
@@ -564,100 +563,6 @@ class TestClassRepresentatives:
                                     grace -= 1
                                 walker = orbit_step(walker, unit, direction)
             assert brute <= covered, (d, n, sorted(brute - covered)[:4])
-
-
-def _brute_sqrts_mod(a, m):
-    # the oracle: a scan of every residue, mapped into (-m/2, m/2]
-    if m == 1:
-        return (0,)
-    roots = [z for z in range(m) if (z * z - a) % m == 0]
-    return tuple(z if 2 * z <= m else z - m for z in roots)
-
-
-def _brute_sqrts_mod_many(residues, m):
-    # the same scan once for several a: {a: _brute_sqrts_mod(a, m)}
-    wanted = {a % m: [] for a in residues}
-    for z in range(m):
-        found = wanted.get(z * z % m)
-        if found is not None:
-            found.append(z)
-    return {a: tuple(z if 2 * z <= m else z - m for z in wanted[a % m]) for a in residues}
-
-
-def _prime_powers_dividing(m):
-    out, n, p = [], m, 2
-    while p * p <= n:
-        pj = p
-        while n % p == 0:
-            out.append(pj)
-            pj *= p
-            n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-class TestSqrtsMod:
-    def test_many_agrees_with_single_scan(self):
-        for m in (1, 2, 9, 360, 1001):
-            residues = range(m + 3)
-            many = _brute_sqrts_mod_many(residues, m)
-            assert all(many[a] == _brute_sqrts_mod(a, m) for a in residues)
-
-    def test_every_small_modulus(self):
-        rng = random.Random(1500)
-        for m in range(1, 1501):
-            residues = {0, 1, m - 1, m, rng.randrange(m), rng.randrange(m) ** 2 % m}
-            residues.update(pj * rng.randrange(1, 50) for pj in _prime_powers_dividing(m))
-            expected = _brute_sqrts_mod_many(residues, m)
-            for a in residues:
-                assert _sqrts_mod(a, m) == expected[a], (a, m)
-
-    def test_seeded_large_moduli(self):
-        # 400 pairs over 50 moduli up to 4*10^5, half of them squares mod m
-        rng = random.Random(400_000)
-        pairs = 0
-        for i in range(50):
-            m = 400_000 - i if i < 3 else int(1500 * 266 ** rng.random())
-            residues = [rng.randrange(m) ** 2 % m for _ in range(4)]
-            residues += [rng.randrange(m) for _ in range(4)]
-            expected = _brute_sqrts_mod_many(residues, m)
-            for a in residues:
-                assert _sqrts_mod(a, m) == expected[a], (a, m)
-                pairs += 1
-        assert pairs == 400
-
-    def test_powers_of_two_and_mixed(self):
-        for k in range(1, 11):
-            moduli = {2**k: ()}
-            for p, j in ((3, 1), (3, 3), (5, 2), (7, 1), (13, 2), (17, 1)):
-                moduli[2**k * p**j] = (p, p**j, 2 * p, 2**k * p)
-            for m, extra in moduli.items():
-                residues = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 25, 32, m - 1, m // 2 + 1, *extra)
-                expected = _brute_sqrts_mod_many(residues, m)
-                for a in residues:
-                    assert _sqrts_mod(a, m) == expected[a], (a, m)
-        assert _sqrts_mod(0, 1) == _sqrts_mod(5, 1) == (0,)
-
-    def test_class_representatives_match_the_scan(self, monkeypatch):
-        rng = random.Random(300)
-        cases = []
-        while len(cases) < 20:
-            g = rng.randint(100, 300)
-            d = rng.randint(2, 4 * g)
-            if isqrt(d) ** 2 != d:
-                r, s = rng.choice((1, 2)), rng.choice((1, 2))
-                cases.append((d, rhs_value(FamilyQuery(g, r, s, rng.choice((1, -1))))))
-        clear = class_representatives.cache_clear
-        clear()
-        fast = [class_representatives(d, rhs) for d, rhs in cases]
-        monkeypatch.setattr(k3witness.pell, "_sqrts_mod", _brute_sqrts_mod)
-        clear()
-        try:
-            assert [class_representatives(d, rhs) for d, rhs in cases] == fast
-        finally:
-            clear()
 
 
 def test_a_unit_step_never_lowers_a_positive_seed():
